@@ -51,10 +51,6 @@ class Configuration:
         return tuple(x - self.base for x in self.elements)
 
 
-# A shadow is just a configuration supported on the ground.
-Shadow = Configuration
-
-
 @dataclass(frozen=True)
 class Ground:
     """The window [base, base + width); width is the largest generator."""
@@ -70,16 +66,24 @@ class Ground:
         return self.base <= n < self.upper
 
 
-def _check_base(sgp: NumericalSemigroup, m: int) -> None:
-    if m < max(2 * sgp.conductor - 1, 0):
+def smallest_asymptotic_base(sgp: NumericalSemigroup) -> int:
+    """Least element where delta^r(m) = m + 1 - 2g + E(S, r) is guaranteed."""
+    return max(2 * sgp.conductor - 1, 0)
+
+
+def check_base(sgp: NumericalSemigroup, m: int) -> None:
+    """Raise BaseTooSmall for m < 2c-1, the one base rule of the package."""
+    base = smallest_asymptotic_base(sgp)
+    if m < base:
         raise BaseTooSmall(
-            f"base {m} is below 2c-1 = {2 * sgp.conductor - 1}"
+            f"base {m} is below max(2c-1, 0) = {base}; the identity "
+            "delta(m) = m + 1 - 2g + E is only guaranteed from there on"
         )
 
 
 def ground(sgp: NumericalSemigroup, m: int) -> Ground:
     """The (S, m)-ground [m, m + n_e)."""
-    _check_base(sgp, m)
+    check_base(sgp, m)
     return Ground(base=m, width=sgp.largest_generator)
 
 
@@ -97,7 +101,7 @@ def is_amenable(sgp: NumericalSemigroup, config: Configuration) -> bool:
 
     The empty configuration counts as amenable (the r = 0 convention).
     """
-    _check_base(sgp, config.base)
+    check_base(sgp, config.base)
     if not config.elements:
         return True
     m = config.base
@@ -119,7 +123,7 @@ def enumerate_amenable(
     t extends a partial set when every generator difference t - n that
     is still >= 0 is already present.
     """
-    _check_base(sgp, m)
+    check_base(sgp, m)
     if r < 0:
         raise InvalidInput(f"configuration size must be >= 0, got {r}")
     if r == 0:

@@ -15,9 +15,14 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .amenable import Configuration, shadow_representatives
+from .amenable import (
+    Configuration,
+    check_base,
+    shadow_representatives,
+    smallest_asymptotic_base,
+)
 from .divisors import divisors
-from .errors import BaseTooSmall, InvalidInput, NotElement, SearchSpaceTooLarge
+from .errors import InvalidInput, NotElement, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup
 
 DEFAULT_SUBSET_CAP = 50_000_000
@@ -44,16 +49,19 @@ def _check_args(sgp: NumericalSemigroup, m: int, r: int) -> None:
         raise InvalidInput(f"configuration size must be >= 1, got {r}")
     if not sgp.contains(m):
         raise NotElement(f"{m} is not an element of the semigroup")
-    if m < 2 * sgp.conductor - 1:
-        raise BaseTooSmall(
-            f"base {m} is below 2c-1 = {2 * sgp.conductor - 1}; the identity "
-            "delta(m) = m + 1 - 2g + E is only guaranteed from there on"
-        )
+    check_base(sgp, m)
 
 
-def smallest_asymptotic_base(sgp: NumericalSemigroup) -> int:
-    """Least element where delta^r(m) = m + 1 - 2g + E(S, r) is guaranteed."""
-    return max(2 * sgp.conductor - 1, 0)
+def _divisor_mask(sgp: NumericalSemigroup, x: int) -> int:
+    """D(x) as an int with bit d set for every divisor d.
+
+    Written out as a binary string, highest bit first, so the cost stays
+    linear in x; or-ing in 1 << d per divisor would be quadratic.
+    """
+    bits = ["0"] * (x + 1)
+    for d in divisors(sgp, x).elements:
+        bits[x - d] = "1"
+    return int("".join(bits), 2)
 
 
 def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
@@ -64,17 +72,20 @@ def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
     once and each representative costs one union of those.
     """
     _check_args(sgp, m, r)
-    width = sgp.largest_generator
-    ground_divs = [frozenset(divisors(sgp, m + i).elements) for i in range(width)]
+    upper = m + sgp.largest_generator
+    ground_masks = [_divisor_mask(sgp, x) for x in range(m, upper)]
 
     best: int | None = None
     witness: Configuration | None = None
     for config in shadow_representatives(sgp, m, r):
-        shadow_offsets = [x - m for x in config.elements if x - m < width]
-        union: set[int] = set()
-        for i in shadow_offsets:
-            union |= ground_divs[i]
-        count = (r - len(shadow_offsets)) + len(union)
+        union = 0
+        above = r
+        for x in config.elements:
+            if x >= upper:
+                break
+            union |= ground_masks[x - m]
+            above -= 1
+        count = above + union.bit_count()
         if best is None or count < best:
             best = count
             witness = config
@@ -116,17 +127,18 @@ def brute_force_distance(
             f"{total} candidate subsets exceed the cap of {max_subsets}"
         )
 
-    base_divs = frozenset(divisors(sgp, m).elements)
-    div_of = {x: frozenset(divisors(sgp, x).elements) for x in candidates}
+    base_mask = _divisor_mask(sgp, m)
+    mask_of = {x: _divisor_mask(sgp, x) for x in candidates}
 
     best: int | None = None
     witness: tuple[int, ...] | None = None
     for combo in combinations(candidates, r - 1):
-        union = set(base_divs)
+        union = base_mask
         for x in combo:
-            union |= div_of[x]
-        if best is None or len(union) < best:
-            best = len(union)
+            union |= mask_of[x]
+        count = union.bit_count()
+        if best is None or count < best:
+            best = count
             witness = (m,) + combo
     assert best is not None and witness is not None
     return FengRaoResult(

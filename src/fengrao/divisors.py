@@ -31,7 +31,7 @@ class DivisorSet:
         return iter(self.elements)
 
     def __contains__(self, n: int) -> bool:
-        return n in set(self.elements)
+        return n in self.elements
 
 
 def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:

@@ -21,15 +21,9 @@ from __future__ import annotations
 from dataclasses import dataclass
 from functools import lru_cache
 
-from .amenable import Configuration, is_amenable
+from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, divisors_above
-from .errors import (
-    BaseTooSmall,
-    InvalidInput,
-    InvalidParams,
-    NoOrderedAmenable,
-    NotAmenable,
-)
+from .errors import InvalidInput, InvalidParams, NoOrderedAmenable, NotAmenable
 from .semigroup import NumericalSemigroup, from_generators
 
 
@@ -47,21 +41,6 @@ def interval_semigroup(a: int, b: int) -> NumericalSemigroup:
     """The numerical semigroup minimally generated by [a, a+b]."""
     _check_interval(a, b)
     return from_generators(range(a, a + b + 1))
-
-
-@dataclass(frozen=True)
-class IntervalSemigroup:
-    """Parameter pair (a, b) with its induced numerical semigroup."""
-
-    a: int
-    b: int
-
-    def __post_init__(self) -> None:
-        _check_interval(self.a, self.b)
-
-    @property
-    def semigroup(self) -> NumericalSemigroup:
-        return interval_semigroup(self.a, self.b)
 
 
 def as_interval(sgp: NumericalSemigroup) -> tuple[int, int] | None:
@@ -219,8 +198,7 @@ def interval_shadow_divisor_count(
     if any(x >= y for x, y in zip(offs, offs[1:])) or offs[-1] >= a + b:
         raise InvalidParams("offsets must increase strictly and stay below a+b")
     sgp = interval_semigroup(a, b)
-    if m < 2 * sgp.conductor - 1:
-        raise BaseTooSmall(f"base {m} is below 2c-1 = {2 * sgp.conductor - 1}")
+    check_base(sgp, m)
     if check:
         config = Configuration(base=m, elements=tuple(m + i for i in offs))
         if not is_amenable(sgp, config):
@@ -239,8 +217,7 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     if q < 0 or not 0 <= j <= a - 1:
         raise InvalidParams(f"need q >= 0 and 0 <= j < a, got q={q}, j={j}")
     sgp = interval_semigroup(a, b)
-    if m < 2 * sgp.conductor - 1:
-        raise BaseTooSmall(f"base {m} is below 2c-1 = {2 * sgp.conductor - 1}")
+    check_base(sgp, m)
 
     found: list[int] = []
     for v in range(0, a - j):
@@ -269,8 +246,7 @@ def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
             f"r={r} needs shadow edge {edge} < a+b-1 = {a + b - 1}"
         )
     sgp = interval_semigroup(a, b)
-    if m < 2 * sgp.conductor - 1:
-        raise BaseTooSmall(f"base {m} is below 2c-1 = {2 * sgp.conductor - 1}")
+    check_base(sgp, m)
 
     elements = set(divisors_above(sgp, m + (dec.h - 1) * (a + b), m).elements)
     for v in range(b * (dec.h - 1) + 1, b * (dec.h - 1) + dec.k + 1):

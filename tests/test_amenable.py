@@ -6,14 +6,19 @@ import pytest
 from fengrao import (
     BaseTooSmall,
     Configuration,
+    brute_force_distance,
     divisors,
     divisors_of_set,
     enumerate_amenable,
+    feng_rao_distance,
     from_generators,
     ground,
-    is_amenable,
+    interval_extra_divisors,
     interval_semigroup,
+    interval_shadow_divisor_count,
+    is_amenable,
     nu,
+    ordered_amenable_set,
     shadow,
     shadow_representatives,
 )
@@ -251,3 +256,40 @@ def test_shift_and_closure_transformations():
         assert is_amenable(s, cfg(m - 1, [x - 1 for x in elems]))
         assert is_amenable(s, cfg(m - 1, [m - 1, *elems]))
         assert is_amenable(s, cfg(m, elems[:-1]))
+
+
+# ------------------------------------------------------ base rule m >= 2c-1
+
+# every entry point that takes a base m, called with a small valid rest
+BASE_RULE_CALLS = {
+    "ground": ground,
+    "is_amenable": lambda s, m: is_amenable(s, cfg(m, [m])),
+    "enumerate_amenable": lambda s, m: list(enumerate_amenable(s, m, 2)),
+    "feng_rao_distance": lambda s, m: feng_rao_distance(s, m, 2),
+    "brute_force_distance": lambda s, m: brute_force_distance(s, m, 2),
+}
+INTERVAL_BASE_RULE_CALLS = {
+    "interval_shadow_divisor_count": lambda a, b, m: interval_shadow_divisor_count(a, b, m, (0,)),
+    "interval_extra_divisors": lambda a, b, m: interval_extra_divisors(a, b, m, 1, 1),
+    "ordered_amenable_set": lambda a, b, m: ordered_amenable_set(a, b, m, 2),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BASE_RULE_CALLS))
+@pytest.mark.parametrize("s", [from_generators([9, 13, 15]), interval_semigroup(5, 2)])
+def test_base_rule_generic_entry_points(s, name):
+    call = BASE_RULE_CALLS[name]
+    m0 = 2 * s.conductor - 1
+    assert s.contains(m0 - 1)  # refused for the base, not for membership
+    with pytest.raises(BaseTooSmall):
+        call(s, m0 - 1)
+    call(s, m0)
+
+
+@pytest.mark.parametrize("name", sorted(INTERVAL_BASE_RULE_CALLS))
+def test_base_rule_interval_entry_points(name):
+    call = INTERVAL_BASE_RULE_CALLS[name]
+    m0 = 2 * interval_semigroup(5, 2).conductor - 1
+    with pytest.raises(BaseTooSmall):
+        call(5, 2, m0 - 1)
+    call(5, 2, m0)

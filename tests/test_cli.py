@@ -102,6 +102,21 @@ def test_m_below_guarantee_refused(capsys):
         capsys, "distance", "--gens", "4,5", "--r", "2", "--m", "13", "--no-timing"
     )
     assert code == 2
+    # <5,6,7> has 2c-1 = 19; the closed form never reaches the search's check
+    code, _ = run_cli(
+        capsys, "distance", "--interval", "5,2", "--r", "2", "--m", "18",
+        "--method", "interval", "--no-timing",
+    )
+    assert code == 2
+    code, _ = run_cli(capsys, "amenable", "--interval", "5,2", "--r", "2", "--m", "18")
+    assert code == 2
+
+
+def test_semigroup_arguments_refused(capsys):
+    assert cli.main(["number", "--interval", "4,4", "--r", "1"]) == 2
+    with pytest.raises(SystemExit) as exc:
+        cli.main(["number", "--gens", "2,3", "--interval", "4,1", "--r", "1"])
+    assert exc.value.code == 2
 
 
 def test_distance_translation(capsys):

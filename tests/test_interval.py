@@ -4,7 +4,6 @@ import pytest
 
 from fengrao import (
     Configuration,
-    IntervalSemigroup,
     InvalidParams,
     NoOrderedAmenable,
     NotAmenable,
@@ -76,10 +75,8 @@ def test_interval_conductor_and_genus_closed_forms():
 
 
 def test_interval_semigroup_type():
-    iv = IntervalSemigroup(5, 2)
-    assert iv.semigroup.multiplicity == 5
     with pytest.raises(InvalidParams):
-        IntervalSemigroup(4, 4)
+        interval_semigroup(4, 4)
     assert as_interval(from_generators([5, 6, 7])) == (5, 2)
     assert as_interval(from_generators([4, 7])) is None
     assert as_interval(from_generators([1])) is None
