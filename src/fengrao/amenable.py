@@ -6,19 +6,27 @@ criterion this only has to be checked against the minimal generators:
 for every x in M and every minimal generator n, x - n >= m implies
 x - n in M.  Amenable sets satisfy two hard bounds that make exhaustive
 search feasible: m_i <= m + rho_i and consecutive gaps are at most
-rho_2.  Enumeration below is a depth-first search over sorted element
-offsets with those bounds as pruning, so memory stays proportional to
-the depth r.
+rho_2.  Enumeration below is an iterative depth-first search over
+sorted element offsets with those bounds as pruning.  A table ``need``
+gives, for each offset t, the mask of the offsets t - n (n a minimal
+generator) that must already be present, so checking a candidate is one
+mask test.  The search keeps one slot per depth (prefix, mask, next
+candidate, bound), so memory stays proportional to r, and builds its
+results with ``Configuration._trusted``, which skips the validation the
+search already guarantees.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
 The number of divisors of an amenable set only depends on its shadow
 (plus the count of elements above the ground), so the distance search
-keeps one representative per shadow.
+keeps one representative per shadow.  Sets that share a shadow are
+contiguous in lexicographic order, so that dedup compares each shadow
+with the previous one only and holds no set of those seen.
 """
 
 from __future__ import annotations
 
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
@@ -40,6 +48,15 @@ class Configuration:
             raise InvalidInput(
                 f"least element {self.elements[0]} differs from base {self.base}"
             )
+
+    @classmethod
+    def _trusted(cls, base: int, elements: tuple[int, ...]) -> Configuration:
+        """Build without validation, for callers that guarantee the invariants."""
+        config = object.__new__(cls)
+        fields = config.__dict__
+        fields["base"] = base
+        fields["elements"] = elements
+        return config
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -119,49 +136,79 @@ def enumerate_amenable(
 ) -> Iterator[Configuration]:
     """All (S, m, r)-amenable sets, in lexicographic element order.
 
-    Elements are kept as offsets from m in a bitmask; a candidate offset
-    t extends a partial set when every generator difference t - n that
-    is still >= 0 is already present.
+    Elements are kept as offsets from m in a bitmask.  ``need[t]`` has a
+    bit for every generator difference t - n >= 0, so a candidate offset
+    t extends a partial set exactly when ``mask & need[t] == need[t]``.
     """
     check_base(sgp, m)
     if r < 0:
         raise InvalidInput(f"configuration size must be >= 0, got {r}")
-    if r == 0:
-        yield Configuration(base=m, elements=())
+    trusted = Configuration._trusted
+    if r <= 1:
+        yield trusted(m, (m,) if r else ())
         return
 
-    gens = sgp.minimal_generators
     rho2 = sgp.multiplicity
     rho = [sgp.rho(i) for i in range(1, r + 1)]  # rho[i-1] = rho_i
+    need = [0] * (rho[-1] + 1)
+    for n in sgp.minimal_generators:
+        for t in range(n, len(need)):
+            need[t] |= 1 << (t - n)
 
-    def extend(offsets: list[int], mask: int) -> Iterator[Configuration]:
-        depth = len(offsets)
-        if depth == r:
-            yield Configuration(base=m, elements=tuple(m + t for t in offsets))
-            return
-        last = offsets[-1]
-        bound = min(last + rho2, rho[depth])
-        for t in range(last + 1, bound + 1):
-            for n in gens:
-                d = t - n
-                if d >= 0 and not (mask >> d) & 1:
-                    break
-            else:
-                offsets.append(t)
-                yield from extend(offsets, mask | (1 << t))
-                offsets.pop()
-
-    yield from extend([0], 1)
+    # slot d describes the prefix of d elements: the prefix itself, its
+    # offset mask, the next candidate offset and the largest one allowed
+    last = r - 1
+    prefixes: list[tuple[int, ...]] = [()] * r
+    masks = [0] * r
+    nexts = [0] * r
+    bounds = [0] * r
+    prefixes[1], masks[1], nexts[1], bounds[1] = (m,), 1, 1, min(rho2, rho[1])
+    depth = 1
+    while depth:
+        mask = masks[depth]
+        bound = bounds[depth]
+        if depth == last:
+            prefix = prefixes[depth]
+            for t in range(nexts[depth], bound + 1):
+                req = need[t]
+                if mask & req == req:
+                    yield trusted(m, prefix + (m + t,))
+            depth -= 1
+            continue
+        t = nexts[depth]
+        while t <= bound:
+            req = need[t]
+            if mask & req == req:
+                break
+            t += 1
+        else:
+            depth -= 1
+            continue
+        nexts[depth] = t + 1
+        prefix = prefixes[depth] + (m + t,)
+        depth += 1
+        prefixes[depth] = prefix
+        masks[depth] = mask | (1 << t)
+        nexts[depth] = t + 1
+        bound = t + rho2
+        bounds[depth] = bound if bound < rho[depth] else rho[depth]
 
 
 def shadow_representatives(
     sgp: NumericalSemigroup, m: int, r: int
 ) -> Iterator[Configuration]:
-    """One amenable set per distinct shadow, first in lexicographic order."""
+    """One amenable set per distinct shadow, first in lexicographic order.
+
+    The sets sharing a shadow L are contiguous in lexicographic order:
+    each is L followed by elements >= m + n_e, so any set sorted between
+    two of them starts with L and continues above the ground as well.
+    Comparing each shadow with the previous one is therefore enough.
+    """
     upper = m + sgp.largest_generator
-    seen: set[tuple[int, ...]] = set()
+    previous = None
     for config in enumerate_amenable(sgp, m, r):
-        key = tuple(x - m for x in config.elements if x < upper)
-        if key not in seen:
-            seen.add(key)
+        elements = config.elements
+        key = elements[: bisect_left(elements, upper)]
+        if key != previous:
+            previous = key
             yield config

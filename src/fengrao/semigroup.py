@@ -16,8 +16,12 @@ from typing import Iterable, Sequence
 
 from .errors import InvalidInput, NotNumerical
 
-# Desk-scale guard: inputs this large are almost certainly a bug upstream.
-_MAX_GENERATOR = 2**31
+# Desk-scale guards, checked before anything is allocated: construction
+# builds a table of a_1 entries and tuples of gaps and small elements that
+# together hold about c entries.  Schur's bound c <= (a_1 - 1)(a_j - 1),
+# with a_j the first generator at which the running gcd reaches 1, caps c.
+_MAX_MULTIPLICITY = 1_000
+_MAX_CONDUCTOR_BOUND = 1_000_000
 
 
 def _least_in_residues(gens: Sequence[int], mult: int) -> list[int]:
@@ -94,19 +98,33 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The generator list is minimalized (generators that are sums of other
     elements are dropped).  Raises InvalidInput for an empty or non-positive
-    list and NotNumerical when gcd(gens) != 1.
+    list or one whose multiplicity or conductor bound exceeds the guards,
+    and NotNumerical when gcd(gens) != 1.
     """
     unique = sorted(set(gens))
     if not unique:
         raise InvalidInput("generator list is empty")
     if unique[0] < 1:
         raise InvalidInput(f"generators must be positive, got {unique[0]}")
-    if unique[-1] > _MAX_GENERATOR:
-        raise InvalidInput(f"generator {unique[-1]} exceeds the 2^31 guard")
     if gcd(*unique) != 1:
         raise NotNumerical(f"gcd of generators is {gcd(*unique)}, not 1")
 
     mult = unique[0]
+    if mult > _MAX_MULTIPLICITY:
+        raise InvalidInput(
+            f"multiplicity {mult} exceeds the guard of {_MAX_MULTIPLICITY}"
+        )
+    running = 0
+    for a_j in unique:
+        running = gcd(running, a_j)
+        if running == 1:
+            break
+    schur = (mult - 1) * (a_j - 1)
+    if schur > _MAX_CONDUCTOR_BOUND:
+        raise InvalidInput(
+            f"conductor bound (a_1 - 1)(a_j - 1) = {schur} exceeds the guard "
+            f"of {_MAX_CONDUCTOR_BOUND}"
+        )
     least = _least_in_residues(unique, mult)
     conductor = max(least) - mult + 1
     genus = sum(d // mult for d in least)

@@ -21,9 +21,10 @@ from fengrao import (
     ordered_amenable_set,
     shadow,
     shadow_representatives,
+    smallest_asymptotic_base,
 )
 
-from corpus import base_point, corpus_semigroups
+from corpus import CORPUS, corpus_semigroups
 
 FIG_AMENABLE_SET = (
     tuple(range(189, 198)) + (199,) + tuple(range(201, 211))
@@ -68,7 +69,7 @@ def test_ground_base_too_small():
 
 def test_shadow_of_ground_subset_is_identity():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     config = cfg(m, [m, m + 2, m + 6])
     assert shadow(s, config) == config
 
@@ -82,7 +83,7 @@ def test_shadow_figure():
 
 def test_shadow_is_filter():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     rng = random.Random(3)
     for _ in range(30):
         extra = sorted(rng.sample(range(m + 1, m + 30), 4))
@@ -97,7 +98,7 @@ def test_shadow_is_filter():
 
 def test_singleton_and_interval_are_amenable():
     for s in corpus_semigroups(max_multiplicity=9):
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         assert is_amenable(s, cfg(m, [m]))
         for r in (2, 4):
             assert is_amenable(s, cfg(m, range(m, m + r)))
@@ -107,7 +108,7 @@ def test_base_plus_width_alone_is_not_amenable():
     # over <a..a+b> with b >= 1 the element m + n_e needs m + 1 present
     for a, b in [(4, 1), (5, 2), (7, 3), (9, 4)]:
         s = interval_semigroup(a, b)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         assert not is_amenable(s, cfg(m, [m, m + a + b]))
 
 
@@ -119,7 +120,7 @@ def test_figure_amenable_set():
 def test_is_amenable_matches_definition():
     rng = random.Random(17)
     for s in corpus_semigroups(max_multiplicity=7):
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for _ in range(60):
             extra = sorted(rng.sample(range(m + 1, m + 2 * s.largest_generator + 8), 3))
             config = cfg(m, [m] + extra)
@@ -128,7 +129,7 @@ def test_is_amenable_matches_definition():
 
 def test_empty_configuration_is_amenable():
     s = from_generators([4, 5])
-    assert is_amenable(s, Configuration(base=base_point(s), elements=()))
+    assert is_amenable(s, Configuration(base=smallest_asymptotic_base(s), elements=()))
 
 
 # ---------------------------------------------------- enumerate_amenable
@@ -136,7 +137,7 @@ def test_empty_configuration_is_amenable():
 
 def test_enumerate_r1_and_r0():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     assert [c.elements for c in enumerate_amenable(s, m, 1)] == [(m,)]
     assert [c.elements for c in enumerate_amenable(s, m, 0)] == [()]
 
@@ -148,23 +149,47 @@ def test_enumerate_4_5_pairs():
     assert got == [(23, 24), (23, 25), (23, 26), (23, 27)]
 
 
+# the envelope checked against the definition: the corpus with multiplicity
+# <= 9 up to r = 5 and every interval <a..a+b> with a <= 8 up to r = 6
+EXHAUSTIVE_ENVELOPE = {
+    **{gens: 5 for gens in CORPUS if gens[0] <= 9},
+    **{tuple(range(a, a + b + 1)): 6 for a in range(2, 9) for b in range(1, a)},
+}
+
+
+def exhaustive_amenable(sgp, m, r):
+    """Every r-subset of [m, m + rho_r] through m that is divisor-closed above m."""
+    window = range(m + 1, m + sgp.rho(r) + 1)
+    above = {x: {d for d in divisors(sgp, x).elements if d >= m} for x in (m, *window)}
+    found = []
+    for combo in combinations(window, r - 1):
+        members = {m, *combo}
+        if all(above[x] <= members for x in members):
+            found.append((m,) + combo)
+    return sorted(found)
+
+
 def test_enumerate_matches_exhaustive_definition():
-    for gens, r in [((4, 5), 3), ((5, 6, 7), 3), ((3, 4), 4)]:
+    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
-        m = base_point(s)
-        expected = []
-        for combo in combinations(range(m + 1, m + s.rho(r) + 1), r - 1):
-            config = cfg(m, (m,) + combo)
-            if def_amenable(s, config):
-                expected.append(config.elements)
-        got = [c.elements for c in enumerate_amenable(s, m, r)]
-        assert got == sorted(expected)
-        assert all(is_amenable(s, c) for c in enumerate_amenable(s, m, r))
+        m = smallest_asymptotic_base(s)
+        for r in range(1, rmax + 1):
+            configs = list(enumerate_amenable(s, m, r))
+            assert [c.elements for c in configs] == exhaustive_amenable(s, m, r), (gens, r)
+            assert all(is_amenable(s, c) for c in configs)
+            assert configs == [Configuration(m, c.elements) for c in configs]
+            seen, first = set(), []
+            for c in configs:
+                key = shadow(s, c).elements
+                if key not in seen:
+                    seen.add(key)
+                    first.append(c)
+            assert list(shadow_representatives(s, m, r)) == first, (gens, r)
 
 
 def test_enumerate_is_lexicographic():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     got = [c.elements for c in enumerate_amenable(s, m, 3)]
     assert got == sorted(got)
 
@@ -172,11 +197,28 @@ def test_enumerate_is_lexicographic():
 def test_element_bounds():
     # m_i <= m + rho_i and consecutive gaps at most rho_2
     for s in corpus_semigroups(max_multiplicity=7):
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for config in enumerate_amenable(s, m, 4):
             elems = config.elements
             assert all(x <= m + s.rho(i + 1) for i, x in enumerate(elems))
             assert all(y - x <= s.multiplicity for x, y in zip(elems, elems[1:]))
+
+
+# (amenable sets, shadow representatives) at 2c-1 for the benchmark's
+# deep-r and wide-ground semigroups; a change to the work done shows here
+ENUMERATION_WORK = {
+    (14, 15): {3: (92, 92), 5: (1237, 1202), 7: (7067, 5250)},
+    tuple(range(16, 25)): {3: (121, 121), 5: (1941, 1941), 7: (9949, 9949)},
+}
+
+
+@pytest.mark.parametrize("gens", sorted(ENUMERATION_WORK), ids=lambda g: f"{g[0]}..{g[-1]}")
+def test_enumeration_work_is_pinned(gens):
+    s = from_generators(gens)
+    m = smallest_asymptotic_base(s)
+    for r, (sets, shadows) in ENUMERATION_WORK[gens].items():
+        assert sum(1 for _ in enumerate_amenable(s, m, r)) == sets, r
+        assert sum(1 for _ in shadow_representatives(s, m, r)) == shadows, r
 
 
 def test_enumerate_base_too_small():
@@ -190,14 +232,14 @@ def test_enumerate_base_too_small():
 
 def test_representatives_r1():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     assert [c.elements for c in shadow_representatives(s, m, 1)] == [(m,)]
 
 
 def test_representative_counts_and_minimum():
     for gens, r in [((4, 5), 3), ((5, 6, 7), 4), ((4, 6, 7), 3)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         all_sets = list(enumerate_amenable(s, m, r))
         reps = list(shadow_representatives(s, m, r))
         assert len(reps) <= len(all_sets)
@@ -222,7 +264,7 @@ def test_shadow_decomposition():
     # D(M) = (M \ L) disjoint-union D(L), hence nu(M) = #(M\L) + nu(L)
     for gens in [(4, 5), (5, 6, 7), (4, 6, 7)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for config in sample_amenable(s, m, 4, 25, seed=5):
             L = shadow(s, config).elements
             above = set(config.elements) - set(L)
@@ -237,7 +279,7 @@ def test_shadow_monotonicity():
     # equal cardinality, nested shadows -> ordered divisor counts
     for gens in [(4, 5), (5, 6, 7)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         pool = list(enumerate_amenable(s, m, 4))
         for ca in pool:
             la = set(shadow(s, ca).elements)

@@ -114,6 +114,7 @@ def test_m_below_guarantee_refused(capsys):
 
 def test_semigroup_arguments_refused(capsys):
     assert cli.main(["number", "--interval", "4,4", "--r", "1"]) == 2
+    assert cli.main(["number", "--gens", "2,2147483647", "--r", "1"]) == 2
     with pytest.raises(SystemExit) as exc:
         cli.main(["number", "--gens", "2,3", "--interval", "4,1", "--r", "1"])
     assert exc.value.code == 2

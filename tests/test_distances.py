@@ -14,7 +14,7 @@ from fengrao import (
     smallest_asymptotic_base,
 )
 
-from corpus import base_point, corpus_semigroups
+from corpus import corpus_semigroups
 
 
 def test_r1_is_counting_law():
@@ -41,7 +41,7 @@ def test_translation_identity():
     # delta(m + k) = delta(m) + k past 2c-1
     for gens in [(4, 5), (5, 6, 7), (4, 6, 7)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for r in (1, 2, 3):
             base = feng_rao_distance(s, m, r).delta
             for k in range(1, 2 * s.largest_generator + 1):
@@ -68,7 +68,7 @@ def test_e_number_naturals():
 def test_witness_is_optimal_and_amenable():
     for gens in [(4, 5), (5, 6, 7), (9, 13, 15)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for r in (2, 3, 4):
             res = feng_rao_distance(s, m, r)
             assert len(res.witness) == r
@@ -81,7 +81,7 @@ def test_witness_tie_break_is_first_lexicographic_representative():
 
     for gens in [(4, 5), (5, 6, 7)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for r in (2, 3, 4):
             res = feng_rao_distance(s, m, r)
             attaining = [
@@ -101,7 +101,7 @@ def test_strictly_increasing_in_r():
 
 def test_brute_force_r1():
     s = from_generators([5, 6, 7])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     assert brute_force_distance(s, m, 1).delta == m + 1 - 2 * s.genus
 
 
@@ -138,7 +138,7 @@ def test_oracle_equivalence_small():
     # the full sweep is acceptance criterion 3; keep a quick slice here
     for gens in [(3, 4), (4, 5), (5, 6, 7), (4, 7, 9)]:
         s = from_generators(gens)
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for r in (1, 2, 3, 4):
             assert (
                 feng_rao_distance(s, m, r).delta

@@ -10,9 +10,10 @@ from fengrao import (
     divisors_of_set,
     from_generators,
     nu,
+    smallest_asymptotic_base,
 )
 
-from corpus import CORPUS, base_point, corpus_semigroups
+from corpus import CORPUS, corpus_semigroups
 
 FIG_DIVISORS_60 = (0, 9, 15, 18, 24, 27, 30, 33, 36, 42, 45, 51, 60)
 
@@ -80,7 +81,7 @@ def test_figure_amenable_divisor_union():
 def test_divisors_of_set_consecutive_pair():
     # direct union against the consecutive-shadow counting formula
     s = from_generators([4, 5])
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     a, b = 4, 1
     assert nu(s, [m, m + 1]) == (m + 1 - 2 * s.genus) + -(-(a + b - 1) // b)
 
@@ -104,7 +105,7 @@ def test_nu_values():
 def test_monotone_under_inclusion():
     s = from_generators([5, 6, 7])
     rng = random.Random(7)
-    m = base_point(s)
+    m = smallest_asymptotic_base(s)
     for _ in range(50):
         small = sorted(rng.sample(range(m, m + 25), 3))
         big = sorted(set(small) | {rng.randrange(m, m + 25)})
@@ -116,7 +117,7 @@ def test_monotone_under_inclusion():
 def test_counting_law_spot():
     # nu({x}) = x + 1 - 2g from 2c-1 on
     for s in corpus_semigroups(max_multiplicity=9):
-        m = base_point(s)
+        m = smallest_asymptotic_base(s)
         for x in (m, m + 1, m + s.largest_generator):
             assert nu(s, [x]) == x + 1 - 2 * s.genus
 

@@ -1,5 +1,6 @@
 import pytest
 
+import fengrao.semigroup as semigroup
 from fengrao import InvalidInput, NotNumerical, from_generators
 
 from corpus import CORPUS, corpus_semigroups
@@ -47,6 +48,34 @@ def test_construction_errors():
         from_generators([0, 3])
     with pytest.raises(InvalidInput):
         from_generators([2, 2**31 + 1])
+
+
+class Allocated(Exception):
+    pass
+
+
+def test_size_guards_refuse_before_allocating(monkeypatch):
+    # every input here either is refused by a guard or reaches the first
+    # allocation, which the patch turns into an exception instead
+    def refuse(gens, mult):
+        raise Allocated(gens)
+
+    monkeypatch.setattr(semigroup, "_least_in_residues", refuse)
+    refused = [
+        ([2, 2**31 - 1], "conductor"),       # multiplicity 2, but c = 2^31 - 2
+        ([1001, 1002], "multiplicity"),
+        ([1000, 1002, 1003], "conductor"),   # gcd reaches 1 only at 1003
+    ]
+    for gens, guard in refused:
+        with pytest.raises(InvalidInput, match=guard):
+            from_generators(gens)
+    admitted = [
+        [1000, 1001],          # 999 * 1000, both guards at their edge
+        [2, 3, 2**31 - 1],     # a redundant huge generator costs nothing
+    ]
+    for gens in admitted:
+        with pytest.raises(Allocated):
+            from_generators(gens)
 
 
 def test_generator_minimalization():
