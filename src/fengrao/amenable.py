@@ -13,15 +13,20 @@ generator) that must already be present, so checking a candidate is one
 mask test.  The search keeps one slot per depth (prefix, mask, next
 candidate, bound), so memory stays proportional to r, and builds its
 results with ``Configuration._trusted``, which skips the validation the
-search already guarantees.
+search already guarantees.  Every prefix of an amenable set is amenable,
+so one search to depth hi passes every amenable set of each size up to
+hi; given a range of sizes, it yields each set of a requested size when
+it reaches it, before its extensions, which is lexicographic order.
+Sizes above ``_MAX_SIZE`` are refused before the per-depth tables exist.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
 The number of divisors of an amenable set only depends on its shadow
 (plus the count of elements above the ground), so the distance search
-keeps one representative per shadow.  Sets that share a shadow are
-contiguous in lexicographic order, so that dedup compares each shadow
-with the previous one only and holds no set of those seen.
+keeps one representative per shadow and size.  Sets of one size that
+share a shadow are contiguous in lexicographic order, so that dedup
+compares each shadow with the previous one of the same size only and
+holds no set of those seen.
 """
 
 from __future__ import annotations
@@ -32,6 +37,11 @@ from typing import Iterator
 
 from .errors import BaseTooSmall, InvalidInput
 from .semigroup import NumericalSemigroup
+
+# Largest configuration size a search accepts.  Far above any size the
+# search can finish (r = 14 already visits half a million sets); the bound
+# refuses absurd sizes before the per-depth tables are allocated.
+_MAX_SIZE = 10_000
 
 
 @dataclass(frozen=True)
@@ -131,37 +141,64 @@ def is_amenable(sgp: NumericalSemigroup, config: Configuration) -> bool:
     return True
 
 
-def enumerate_amenable(
-    sgp: NumericalSemigroup, m: int, r: int
-) -> Iterator[Configuration]:
-    """All (S, m, r)-amenable sets, in lexicographic element order.
+def _size_range(r: int | range) -> range:
+    """The sizes asked for, as a range; refuses what the search cannot take.
 
+    Sizes above _MAX_SIZE are refused before anything is allocated for them.
+    """
+    sizes = range(r, r + 1) if isinstance(r, int) else r
+    if not isinstance(sizes, range) or sizes.step != 1:
+        raise InvalidInput(f"sizes must be an int or a step-1 range, got {r!r}")
+    if sizes and sizes.start < 0:
+        raise InvalidInput(f"configuration size must be >= 0, got {sizes.start}")
+    if sizes and sizes[-1] > _MAX_SIZE:
+        raise InvalidInput(
+            f"configuration size {sizes[-1]} is above the limit of {_MAX_SIZE}"
+        )
+    return sizes
+
+
+def enumerate_amenable(
+    sgp: NumericalSemigroup, m: int, r: int | range
+) -> Iterator[Configuration]:
+    """All (S, m, k)-amenable sets for k = r, or for every k in a range r.
+
+    The sets come in lexicographic element order, so the sets of any one
+    size come in the order a search for that size alone gives them.
     Elements are kept as offsets from m in a bitmask.  ``need[t]`` has a
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
     """
     check_base(sgp, m)
-    if r < 0:
-        raise InvalidInput(f"configuration size must be >= 0, got {r}")
+    sizes = _size_range(r)
+    if not sizes:
+        return
+    lo, hi = sizes.start, sizes[-1]
     trusted = Configuration._trusted
-    if r <= 1:
-        yield trusted(m, (m,) if r else ())
+    if lo == 0:
+        yield trusted(m, ())
+    if lo <= 1 <= hi:
+        yield trusted(m, (m,))
+    if hi <= 1:
         return
 
     rho2 = sgp.multiplicity
-    rho = [sgp.rho(i) for i in range(1, r + 1)]  # rho[i-1] = rho_i
+    rho = [sgp.rho(i) for i in range(1, hi + 1)]  # rho[i-1] = rho_i
     need = [0] * (rho[-1] + 1)
     for n in sgp.minimal_generators:
         for t in range(n, len(need)):
             need[t] |= 1 << (t - n)
 
     # slot d describes the prefix of d elements: the prefix itself, its
-    # offset mask, the next candidate offset and the largest one allowed
-    last = r - 1
-    prefixes: list[tuple[int, ...]] = [()] * r
-    masks = [0] * r
-    nexts = [0] * r
-    bounds = [0] * r
+    # offset mask, the next candidate offset and the largest one allowed.
+    # A prefix is yielded when its slot is pushed, before its extensions,
+    # if its size is asked for; the sets of size hi are the leaves.
+    last = hi - 1
+    first = lo - 1  # the first depth whose pushed prefixes are yielded
+    prefixes: list[tuple[int, ...]] = [()] * hi
+    masks = [0] * hi
+    nexts = [0] * hi
+    bounds = [0] * hi
     prefixes[1], masks[1], nexts[1], bounds[1] = (m,), 1, 1, min(rho2, rho[1])
     depth = 1
     while depth:
@@ -186,6 +223,8 @@ def enumerate_amenable(
             continue
         nexts[depth] = t + 1
         prefix = prefixes[depth] + (m + t,)
+        if depth >= first:
+            yield trusted(m, prefix)
         depth += 1
         prefixes[depth] = prefix
         masks[depth] = mask | (1 << t)
@@ -195,20 +234,22 @@ def enumerate_amenable(
 
 
 def shadow_representatives(
-    sgp: NumericalSemigroup, m: int, r: int
+    sgp: NumericalSemigroup, m: int, r: int | range
 ) -> Iterator[Configuration]:
-    """One amenable set per distinct shadow, first in lexicographic order.
+    """One amenable set per distinct shadow and size, first in lexicographic order.
 
-    The sets sharing a shadow L are contiguous in lexicographic order:
-    each is L followed by elements >= m + n_e, so any set sorted between
-    two of them starts with L and continues above the ground as well.
-    Comparing each shadow with the previous one is therefore enough.
+    The sets of one size sharing a shadow L are contiguous among the sets
+    of that size in lexicographic order: each is L followed by elements
+    >= m + n_e, so any set of that size sorted between two of them starts
+    with L and continues above the ground as well.  Comparing each shadow
+    with the previous one of the same size is therefore enough.
     """
     upper = m + sgp.largest_generator
-    previous = None
+    previous: dict[int, tuple[int, ...]] = {}  # size -> last shadow seen
     for config in enumerate_amenable(sgp, m, r):
         elements = config.elements
         key = elements[: bisect_left(elements, upper)]
-        if key != previous:
-            previous = key
+        size = len(elements)
+        if previous.get(size) != key:
+            previous[size] = key
             yield config

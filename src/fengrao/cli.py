@@ -13,15 +13,17 @@ import argparse
 import json
 import sys
 import time
-from typing import Sequence
+from contextlib import contextmanager
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
+    _size_range,
     check_base,
     enumerate_amenable,
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .distances import DEFAULT_SUBSET_CAP, brute_force_distance, feng_rao_distance
+from .distances import DEFAULT_SUBSET_CAP, brute_force_distance, feng_rao_distances
 from .divisors import divisors
 from .errors import FengRaoError, SearchSpaceTooLarge
 from .interval import (
@@ -54,18 +56,18 @@ def _parse_ints(text: str, what: str) -> list[int]:
         raise _CliError(f"cannot parse {what} {text!r} as comma-separated integers")
 
 
-def _parse_r_range(text: str) -> list[int]:
+def _parse_r_range(text: str) -> range:
     try:
         if ".." in text:
             lo, hi = text.split("..")
-            values = list(range(int(lo), int(hi) + 1))
+            values = range(int(lo), int(hi) + 1)
         else:
-            values = [int(text)]
+            values = range(int(text), int(text) + 1)
     except ValueError:
         raise _CliError(f"cannot parse r range {text!r}; use N or lo..hi")
-    if not values or values[0] < 1:
+    if not values or values.start < 1:
         raise _CliError(f"r range {text!r} is empty or starts below 1")
-    return values
+    return _size_range(values)
 
 
 def _semigroup_from_args(args: argparse.Namespace) -> NumericalSemigroup:
@@ -86,24 +88,50 @@ def _resolve_m(sgp: NumericalSemigroup, m_arg: int | None) -> int:
     return m_arg
 
 
-def _emit(text: str, out_path: str | None) -> None:
+@contextmanager
+def _output(out_path: str | None) -> Iterator[TextIO]:
+    """The file named by --out, or stdout."""
     if out_path:
         with open(out_path, "w") as fh:
-            fh.write(text)
+            yield fh
     else:
-        sys.stdout.write(text)
+        yield sys.stdout
 
 
-def _render_table(rows: list[dict], fmt: str) -> str:
-    """Rows share the same keys, in insertion order."""
+def _emit(text: str, out_path: str | None) -> None:
+    with _output(out_path) as fh:
+        fh.write(text)
+
+
+def _write_table(rows: Iterable[dict], fmt: str, fh: TextIO) -> None:
+    """Rows share the same keys, in insertion order.
+
+    CSV and JSON are written as the rows come, so a long listing is never
+    held whole; aligned ASCII needs every row for its column widths.
+    """
+    if fmt == "ascii":
+        fh.write(_render_ascii(list(rows)))
+        return
+    first = True
+    for row in rows:
+        if fmt == "json":  # the layout of json.dumps(rows, indent=2)
+            fh.write("[\n  " if first else ",\n  ")
+            fh.write(json.dumps(row, indent=2).replace("\n", "\n  "))
+        else:
+            if first:
+                fh.write(",".join(row) + "\n")
+            fh.write(",".join(str(v) for v in row.values()) + "\n")
+        first = False
     if fmt == "json":
-        return json.dumps(rows, indent=2) + "\n"
+        fh.write("[]\n" if first else "\n]\n")
+    elif first:
+        fh.write("\n")
+
+
+def _render_ascii(rows: list[dict]) -> str:
+    """Aligned columns: headers left-justified, cells right-justified."""
     headers = list(rows[0].keys()) if rows else []
     cells = [[str(row[h]) for h in headers] for row in rows]
-    if fmt == "csv":
-        lines = [",".join(headers)] + [",".join(row) for row in cells]
-        return "\n".join(lines) + "\n"
-    # aligned ascii
     widths = [
         max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
         for i, h in enumerate(headers)
@@ -175,31 +203,45 @@ def _method_for(sgp: NumericalSemigroup, requested: str) -> str:
 def _one_result(
     sgp: NumericalSemigroup, m: int, r: int, method: str, cap: int
 ) -> tuple[int, int, str]:
-    """(delta, e, method-label) for a single (m, r) by the given method."""
+    """(delta, e, method-label) for a single (m, r) by interval or brute."""
     offset = m + 1 - 2 * sgp.genus
     if method == "interval":
         a, b = as_interval(sgp)  # type: ignore[misc]
         e = interval_feng_rao_number(a, b, r)
         return offset + e, e, "interval-formula"
-    if method == "brute":
-        res = brute_force_distance(sgp, m, r, max_subsets=cap)
-        return res.delta, res.e_number, "brute-force"
-    res = feng_rao_distance(sgp, m, r)
-    return res.delta, res.e_number, "generic"
+    res = brute_force_distance(sgp, m, r, max_subsets=cap)
+    return res.delta, res.e_number, "brute-force"
 
 
 def _cmd_distance_like(args: argparse.Namespace) -> int:
     sgp = _semigroup_from_args(args)
     m = _resolve_m(sgp, args.m)
+    rs = _parse_r_range(args.r)
+    if args.method == "all":
+        methods = ["generic", "interval", "brute"] if as_interval(sgp) else ["generic", "brute"]
+    else:
+        methods = [_method_for(sgp, args.method)]
+    # the per-r methods run first, so that a brute-force cap stops the
+    # command before the generic search; that search serves the whole
+    # range at once, and its time lands on the first row
+    per_r = []
+    for r in rs:
+        t0 = time.perf_counter()
+        values = {
+            meth: _one_result(sgp, m, r, meth, args.max_brute)
+            for meth in methods
+            if meth != "generic"
+        }
+        per_r.append((values, time.perf_counter() - t0))
+    t0 = time.perf_counter()
+    generic = feng_rao_distances(sgp, m, rs) if "generic" in methods else []
+    generic_s = time.perf_counter() - t0
     rows: list[dict] = []
     mismatch = False
-    for r in _parse_r_range(args.r):
-        t0 = time.perf_counter()
+    for i, (r, (values, seconds)) in enumerate(zip(rs, per_r)):
+        if generic:
+            values["generic"] = (generic[i].delta, generic[i].e_number, "generic")
         if args.method == "all":
-            methods = ["generic", "brute"]
-            if as_interval(sgp):
-                methods.insert(1, "interval")
-            values = {meth: _one_result(sgp, m, r, meth, args.max_brute) for meth in methods}
             agree = len({v[0] for v in values.values()}) == 1
             mismatch = mismatch or not agree
             row: dict = {"r": r, "m": m}
@@ -209,13 +251,13 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
                 row[f"e_{meth}"] = e
             row["agree"] = "yes" if agree else "no"
         else:
-            method = _method_for(sgp, args.method)
-            delta, e, label = _one_result(sgp, m, r, method, args.max_brute)
+            delta, e, label = values[methods[0]]
             row = {"r": r, "m": m, "delta": delta, "e": e, "method": label}
-        elapsed = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
+        elapsed = 0.0 if args.no_timing else (seconds + (0 if i else generic_s)) * 1000.0
         row["elapsed_ms"] = f"{elapsed:.3f}"
         rows.append(row)
-    _emit(_render_table(rows, args.format), args.out)
+    with _output(args.out) as fh:
+        _write_table(rows, args.format, fh)
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
@@ -238,36 +280,38 @@ def _cmd_grid(args: argparse.Namespace) -> int:
                         "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
                     }
                 )
-    _emit(_render_table(rows, args.format), args.out)
+    with _output(args.out) as fh:
+        _write_table(rows, args.format, fh)
     return EXIT_OK
 
 
 def _cmd_amenable(args: argparse.Namespace) -> int:
     sgp = _semigroup_from_args(args)
     m = _resolve_m(sgp, args.m)
-    r_values = _parse_r_range(args.r)
-    if len(r_values) != 1:
+    rs = _parse_r_range(args.r)
+    if len(rs) != 1:
         raise _CliError("amenable takes a single --r value")
     source = shadow_representatives if args.representatives else enumerate_amenable
-    configs = list(source(sgp, m, r_values[0]))
-    if args.format == "ascii":
-        width = sgp.largest_generator
-        out = []
-        for i, config in enumerate(configs):
-            marks = {x: "#" if x < m + width else "+" for x in config.elements}
-            out.append(f"[{i}] " + " ".join(str(x) for x in config.elements))
-            out.append(_render_number_grid(sgp, m, max(config.elements), marks))
-        _emit("\n".join(out), args.out)
-        return EXIT_OK
-    rows = [
-        {
-            "index": i,
-            "count": len(config),
-            "elements": " ".join(str(x) for x in config.elements),
-        }
-        for i, config in enumerate(configs)
-    ]
-    _emit(_render_table(rows, args.format), args.out)
+    # each set is written as the search yields it, so memory stays flat
+    configs = enumerate(source(sgp, m, rs))
+    with _output(args.out) as fh:
+        if args.format == "ascii":
+            width = sgp.largest_generator
+            for i, config in configs:
+                marks = {x: "#" if x < m + width else "+" for x in config.elements}
+                fh.write("\n" if i else "")
+                fh.write(f"[{i}] " + " ".join(str(x) for x in config.elements) + "\n")
+                fh.write(_render_number_grid(sgp, m, max(config.elements), marks))
+        else:
+            rows = (
+                {
+                    "index": i,
+                    "count": len(config),
+                    "elements": " ".join(str(x) for x in config.elements),
+                }
+                for i, config in configs
+            )
+            _write_table(rows, args.format, fh)
     return EXIT_OK
 
 

@@ -17,6 +17,7 @@ from math import comb
 
 from .amenable import (
     Configuration,
+    _size_range,
     check_base,
     shadow_representatives,
     smallest_asymptotic_base,
@@ -44,12 +45,14 @@ class FengRaoResult:
         assert self.witness is None or len(self.witness) == self.r
 
 
-def _check_args(sgp: NumericalSemigroup, m: int, r: int) -> None:
-    if r < 1:
-        raise InvalidInput(f"configuration size must be >= 1, got {r}")
+def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:
+    sizes = _size_range(r)
+    if sizes and sizes.start < 1:
+        raise InvalidInput(f"configuration size must be >= 1, got {sizes.start}")
     if not sgp.contains(m):
         raise NotElement(f"{m} is not an element of the semigroup")
     check_base(sgp, m)
+    return sizes
 
 
 def _divisor_mask(sgp: NumericalSemigroup, x: int) -> int:
@@ -64,41 +67,56 @@ def _divisor_mask(sgp: NumericalSemigroup, x: int) -> int:
     return int("".join(bits), 2)
 
 
-def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
-    """delta^r(m) by minimizing over one amenable set per shadow.
+def feng_rao_distances(
+    sgp: NumericalSemigroup, m: int, rs: range
+) -> list[FengRaoResult]:
+    """delta^r(m) for every r in the step-1 range rs, from one search.
 
-    The divisor count of an amenable set M with shadow L splits as
+    The search to depth max(rs) passes every amenable set of each size in
+    rs, in lexicographic order, and keeps one per shadow and size.  The
+    divisor count of an amenable set M with shadow L splits as
     #D(M) = #(M \\ L) + #D(L), so the ground divisor sets are computed
-    once and each representative costs one union of those.
+    once and each representative costs one union of those.  Each size
+    keeps its first minimum, the witness a search for that size alone
+    would give.
     """
-    _check_args(sgp, m, r)
+    sizes = _check_args(sgp, m, rs)
     upper = m + sgp.largest_generator
     ground_masks = [_divisor_mask(sgp, x) for x in range(m, upper)]
 
-    best: int | None = None
-    witness: Configuration | None = None
-    for config in shadow_representatives(sgp, m, r):
+    best: dict[int, tuple[int, Configuration]] = {}  # size -> (count, witness)
+    for config in shadow_representatives(sgp, m, sizes):
+        elements = config.elements
         union = 0
-        above = r
-        for x in config.elements:
+        above = r = len(elements)
+        for x in elements:
             if x >= upper:
                 break
             union |= ground_masks[x - m]
             above -= 1
         count = above + union.bit_count()
-        if best is None or count < best:
-            best = count
-            witness = config
-    assert best is not None and witness is not None
-    return FengRaoResult(
-        generators=sgp.minimal_generators,
-        m=m,
-        r=r,
-        delta=best,
-        e_number=best - (m + 1 - 2 * sgp.genus),
-        method="generic",
-        witness=witness,
-    )
+        if r not in best or count < best[r][0]:
+            best[r] = (count, config)
+    results = []
+    for r in sizes:
+        delta, witness = best[r]
+        results.append(
+            FengRaoResult(
+                generators=sgp.minimal_generators,
+                m=m,
+                r=r,
+                delta=delta,
+                e_number=delta - (m + 1 - 2 * sgp.genus),
+                method="generic",
+                witness=witness,
+            )
+        )
+    return results
+
+
+def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
+    """delta^r(m): feng_rao_distances for the one size r."""
+    return feng_rao_distances(sgp, m, range(r, r + 1))[0]
 
 
 def feng_rao_number(sgp: NumericalSemigroup, r: int) -> FengRaoResult:

@@ -3,9 +3,12 @@ from itertools import combinations
 
 import pytest
 
+import fengrao.amenable as amenable
 from fengrao import (
     BaseTooSmall,
     Configuration,
+    InvalidInput,
+    NumericalSemigroup,
     brute_force_distance,
     divisors,
     divisors_of_set,
@@ -187,6 +190,45 @@ def test_enumerate_matches_exhaustive_definition():
             assert list(shadow_representatives(s, m, r)) == first, (gens, r)
 
 
+def test_range_form_equals_per_size_searches():
+    # one search over a range of sizes gives, size by size, what the
+    # search for each size alone gives, and the whole stream is sorted
+    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
+        s = from_generators(gens)
+        m = smallest_asymptotic_base(s)
+        for lo in (0, 1, 3):
+            sizes = range(lo, rmax + 1)
+            for source in (enumerate_amenable, shadow_representatives):
+                got = [c.elements for c in source(s, m, sizes)]
+                assert got == sorted(got), (gens, lo, source.__name__)
+                for k in sizes:
+                    alone = [c.elements for c in source(s, m, k)]
+                    assert [e for e in got if len(e) == k] == alone, (gens, k)
+
+
+def test_size_bound_refuses_before_allocating(monkeypatch):
+    class Allocated(Exception):
+        pass
+
+    def refuse(self, i):
+        raise Allocated(i)
+
+    # the per-depth tables start with rho_1..rho_r; refuse to reach them
+    monkeypatch.setattr(NumericalSemigroup, "rho", refuse)
+    s = from_generators([4, 5])
+    m = smallest_asymptotic_base(s)
+    for r in (10**12, range(1, 10**12 + 1), amenable._MAX_SIZE + 1):
+        with pytest.raises(InvalidInput, match="limit"):
+            next(enumerate_amenable(s, m, r))
+        with pytest.raises(InvalidInput, match="limit"):
+            next(shadow_representatives(s, m, r))
+    with pytest.raises(Allocated):
+        list(enumerate_amenable(s, m, amenable._MAX_SIZE))
+    for r in (range(1, 6, 2), -1, range(-1, 3), 2.0):
+        with pytest.raises(InvalidInput):
+            next(enumerate_amenable(s, m, r))
+
+
 def test_enumerate_is_lexicographic():
     s = from_generators([5, 6, 7])
     m = smallest_asymptotic_base(s)
@@ -205,10 +247,13 @@ def test_element_bounds():
 
 
 # (amenable sets, shadow representatives) at 2c-1 for the benchmark's
-# deep-r and wide-ground semigroups; a change to the work done shows here
+# deep-r and wide-ground semigroups, for one size or the sizes 1..7 at
+# once; a change to the work done shows here
 ENUMERATION_WORK = {
-    (14, 15): {3: (92, 92), 5: (1237, 1202), 7: (7067, 5250)},
-    tuple(range(16, 25)): {3: (121, 121), 5: (1941, 1941), 7: (9949, 9949)},
+    (14, 15): {3: (92, 92), 5: (1237, 1202), 7: (7067, 5250), range(1, 8): (11996, 9786)},
+    tuple(range(16, 25)): {
+        3: (121, 121), 5: (1941, 1941), 7: (9949, 9949), range(1, 8): (17548, 17548),
+    },
 }
 
 

@@ -1,11 +1,15 @@
+import io
 import json
+import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import pytest
 
 import fengrao.cli as cli
+from fengrao import enumerate_amenable, from_generators, shadow_representatives
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -97,6 +101,18 @@ def test_brute_cap_exit_code(capsys):
     assert code == 4
 
 
+def test_brute_cap_stops_all_before_the_generic_search(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the generic search ran")
+
+    monkeypatch.setattr(cli, "feng_rao_distances", refuse)
+    code, _ = run_cli(
+        capsys, "number", "--interval", "14,1", "--r", "1..14", "--method", "all",
+        "--max-brute", "1000", "--no-timing",
+    )
+    assert code == 4
+
+
 def test_m_below_guarantee_refused(capsys):
     code, _ = run_cli(
         capsys, "distance", "--gens", "4,5", "--r", "2", "--m", "13", "--no-timing"
@@ -144,6 +160,50 @@ def test_json_round_trip(capsys):
     assert list(records[0]) == ["r", "m", "delta", "e", "method", "elapsed_ms"]
 
 
+RANGE_CASES = [
+    ("number", "--interval", "5,2"),
+    ("number", "--gens", "4,6,7"),
+    ("distance", "--interval", "5,2", "--m", "23"),
+    ("distance", "--gens", "4,6,7", "--m", "22"),
+]
+
+
+@pytest.mark.parametrize("case", RANGE_CASES, ids=lambda c: "-".join(c).replace("--", ""))
+@pytest.mark.parametrize("method", ["generic", "all", "auto"])
+@pytest.mark.parametrize("fmt", ["csv", "json"])
+def test_range_equals_single_r_calls(case, method, fmt, capsys):
+    argv = [*case, "--method", method, "--format", fmt, "--no-timing"]
+    code, whole = run_cli(capsys, *argv, "--r", "2..5")
+    assert code == 0
+    singles = [run_cli(capsys, *argv, "--r", str(r)) for r in range(2, 6)]
+    assert all(code == 0 for code, _ in singles)
+    if fmt == "csv":
+        header = singles[0][1].splitlines(keepends=True)[0]
+        assert whole == header + "".join(out.split("\n", 1)[1] for _, out in singles)
+    else:
+        rows = [row for _, out in singles for row in json.loads(out)]
+        assert whole == json.dumps(rows, indent=2) + "\n"
+
+
+def test_r_bound_refused_before_any_work(monkeypatch, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the search started")
+
+    for name in ("feng_rao_distances", "interval_feng_rao_number",
+                 "brute_force_distance", "enumerate_amenable"):
+        monkeypatch.setattr(cli, name, refuse)
+    for method in ("generic", "interval", "brute", "all", "auto"):
+        for r in ("1..1000000000000", "10001"):
+            code, _ = run_cli(
+                capsys, "number", "--interval", "4,1", "--r", r, "--method", method
+            )
+            assert code == 2, (method, r)
+    code, _ = run_cli(capsys, "amenable", "--interval", "4,1", "--r", "1000000000000")
+    assert code == 2
+    with pytest.raises(AssertionError, match="started"):
+        cli.main(["number", "--interval", "4,1", "--r", "10000", "--method", "interval"])
+
+
 def test_grid_values(capsys):
     code, out = run_cli(capsys, "grid", "--amax", "4", "--bmax", "1", "--rmax", "2")
     assert code == 0
@@ -184,6 +244,76 @@ def test_amenable_representatives_not_more(capsys):
     assert len(reps.splitlines()) <= len(full.splitlines())
 
 
+def render_table(rows, fmt):
+    """The whole-table rendering the CLI used before tables were streamed."""
+    if fmt == "json":
+        return json.dumps(rows, indent=2) + "\n"
+    headers = list(rows[0].keys()) if rows else []
+    cells = [[str(row[h]) for h in headers] for row in rows]
+    if fmt == "csv":
+        lines = [",".join(headers)] + [",".join(row) for row in cells]
+        return "\n".join(lines) + "\n"
+    widths = [
+        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
+        for i, h in enumerate(headers)
+    ]
+    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
+    for row in cells:
+        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)).rstrip())
+    return "\n".join(lines) + "\n"
+
+
+def old_amenable_rendering(sgp, m, configs, fmt):
+    """What the amenable command printed when it rendered the whole listing."""
+    if fmt == "ascii":
+        out = []
+        for i, config in enumerate(configs):
+            marks = {x: "#" if x < m + sgp.largest_generator else "+" for x in config.elements}
+            out.append(f"[{i}] " + " ".join(str(x) for x in config.elements))
+            out.append(cli._render_number_grid(sgp, m, max(config.elements), marks))
+        return "\n".join(out)
+    rows = [
+        {"index": i, "count": len(c), "elements": " ".join(str(x) for x in c.elements)}
+        for i, c in enumerate(configs)
+    ]
+    return render_table(rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_amenable_streams_the_whole_listing_rendering(fmt, tmp_path, capsys):
+    for gens, r, m in [("4,5", 3, 23), ("5,6,7", 4, 19), ("9,13,15", 3, 100), ("1", 1, 0)]:
+        s = from_generators([int(g) for g in gens.split(",")])
+        for flag, source in [([], enumerate_amenable), (["--representatives"], shadow_representatives)]:
+            expected = old_amenable_rendering(s, m, list(source(s, m, r)), fmt)
+            argv = ["amenable", "--gens", gens, "--r", str(r), "--m", str(m),
+                    "--format", fmt, *flag]
+            assert run_cli(capsys, *argv) == (0, expected), (gens, r, flag)
+            target = tmp_path / "out.txt"
+            assert cli.main(argv + ["--out", str(target)]) == 0
+            assert target.read_text() == expected
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_write_table_matches_whole_table_rendering(fmt):
+    for rows in ([], [{"a": 1, "b": "x y"}], [{"a": 1, "b": "-"}, {"a": 22, "b": "z"}]):
+        written = io.StringIO()
+        cli._write_table(iter(rows), fmt, written)
+        assert written.getvalue() == render_table(rows, fmt)
+
+
+def test_amenable_listing_memory_stays_flat():
+    # 17,210 sets; the whole listing held in memory peaked near 19 MB
+    tracemalloc.start()
+    try:
+        code = cli.main(["amenable", "--interval", "12,1", "--r", "11",
+                         "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000
+
+
 def test_ascii_formats_render(capsys):
     code, out = run_cli(
         capsys, "divisors", "--gens", "9,13,15", "--x", "60", "--format", "ascii"
@@ -207,10 +337,14 @@ def test_out_file(tmp_path, capsys):
 
 
 def test_console_entry_point():
+    # the package from this checkout, installed or not
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "fengrao.cli", "divisors", "--gens", "4,5", "--x", "9"],
         capture_output=True,
         text=True,
+        env={**os.environ, "PYTHONPATH": path},
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["0", "4", "5", "9"]
