@@ -1,4 +1,4 @@
-"""Grounds, shadows, and enumeration of amenable sets.
+"""The base rule, shadows, and enumeration of amenable sets.
 
 A configuration M = {m = m_1 < ... < m_r} inside S is amenable when it
 is closed under taking divisors that stay >= m.  By the generator
@@ -78,21 +78,6 @@ class Configuration:
         return tuple(x - self.base for x in self.elements)
 
 
-@dataclass(frozen=True)
-class Ground:
-    """The window [base, base + width); width is the largest generator."""
-
-    base: int
-    width: int
-
-    @property
-    def upper(self) -> int:
-        return self.base + self.width
-
-    def __contains__(self, n: int) -> bool:
-        return self.base <= n < self.upper
-
-
 def smallest_asymptotic_base(sgp: NumericalSemigroup) -> int:
     """Least element where delta^r(m) = m + 1 - 2g + E(S, r) is guaranteed."""
     return max(2 * sgp.conductor - 1, 0)
@@ -106,12 +91,6 @@ def check_base(sgp: NumericalSemigroup, m: int) -> None:
             f"base {m} is below max(2c-1, 0) = {base}; the identity "
             "delta(m) = m + 1 - 2g + E is only guaranteed from there on"
         )
-
-
-def ground(sgp: NumericalSemigroup, m: int) -> Ground:
-    """The (S, m)-ground [m, m + n_e)."""
-    check_base(sgp, m)
-    return Ground(base=m, width=sgp.largest_generator)
 
 
 def shadow(sgp: NumericalSemigroup, config: Configuration) -> Configuration:

@@ -98,11 +98,6 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
         yield sys.stdout
 
 
-def _emit(text: str, out_path: str | None) -> None:
-    with _output(out_path) as fh:
-        fh.write(text)
-
-
 def _write_table(rows: Iterable[dict], fmt: str, fh: TextIO) -> None:
     """Rows share the same keys, in insertion order.
 
@@ -172,22 +167,21 @@ def _render_number_grid(
 def _cmd_divisors(args: argparse.Namespace) -> int:
     sgp = _semigroup_from_args(args)
     dset = divisors(sgp, args.x)
-    if args.format == "json":
-        payload = {
-            "generators": list(sgp.minimal_generators),
-            "x": args.x,
-            "count": len(dset),
-            "divisors": list(dset.elements),
-        }
-        _emit(json.dumps(payload, indent=2) + "\n", args.out)
-    elif args.format == "csv":
-        lines = ["divisor"] + [str(d) for d in dset.elements]
-        _emit("\n".join(lines) + "\n", args.out)
-    else:
-        marks = {d: "*" for d in dset.elements}
-        grid = _render_number_grid(sgp, 0, args.x, marks)
-        summary = f"{len(dset)} divisors of {args.x} (marked *)\n"
-        _emit(grid + summary, args.out)
+    with _output(args.out) as fh:
+        if args.format == "json":
+            payload = {
+                "generators": list(sgp.minimal_generators),
+                "x": args.x,
+                "count": len(dset),
+                "divisors": list(dset.elements),
+            }
+            fh.write(json.dumps(payload, indent=2) + "\n")
+        elif args.format == "csv":
+            _write_table(({"divisor": d} for d in dset.elements), "csv", fh)
+        else:
+            marks = {d: "*" for d in dset.elements}
+            fh.write(_render_number_grid(sgp, 0, args.x, marks))
+            fh.write(f"{len(dset)} divisors of {args.x} (marked *)\n")
     return EXIT_OK
 
 
@@ -261,27 +255,27 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
     return EXIT_MISMATCH if mismatch else EXIT_OK
 
 
+def _grid_rows(amax: int, bmax: int, rmax: int) -> Iterator[dict]:
+    """The grid rows in order, each (a, b) semigroup built once for its r."""
+    for a in range(2, amax + 1):
+        for b in range(1, min(a - 1, bmax) + 1):
+            sgp = interval_semigroup(a, b)
+            for r in range(1, rmax + 1):
+                yield {
+                    "a": a,
+                    "b": b,
+                    "r": r,
+                    "e": interval_feng_rao_number(a, b, r),
+                    "rho": sgp.rho(r),
+                    "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
+                }
+
+
 def _cmd_grid(args: argparse.Namespace) -> int:
     if args.amax < 2 or args.bmax < 1 or args.rmax < 1:
         raise _CliError("grid needs --amax >= 2, --bmax >= 1, --rmax >= 1")
-    rows = []
-    for a in range(2, args.amax + 1):
-        for b in range(1, min(a - 1, args.bmax) + 1):
-            sgp = interval_semigroup(a, b)
-            for r in range(1, args.rmax + 1):
-                e = interval_feng_rao_number(a, b, r)
-                rows.append(
-                    {
-                        "a": a,
-                        "b": b,
-                        "r": r,
-                        "e": e,
-                        "rho": sgp.rho(r),
-                        "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
-                    }
-                )
     with _output(args.out) as fh:
-        _write_table(rows, args.format, fh)
+        _write_table(_grid_rows(args.amax, args.bmax, args.rmax), args.format, fh)
     return EXIT_OK
 
 

@@ -59,10 +59,13 @@ def _divisor_mask(sgp: NumericalSemigroup, x: int) -> int:
     """D(x) as an int with bit d set for every divisor d.
 
     Written out as a binary string, highest bit first, so the cost stays
-    linear in x; or-ing in 1 << d per divisor would be quadratic.
+    linear in x; or-ing in 1 << d per divisor would be quadratic.  The
+    divisors come first, so an x above the element guard is refused
+    before the string is allocated.
     """
+    divs = divisors(sgp, x).elements
     bits = ["0"] * (x + 1)
-    for d in divisors(sgp, x).elements:
+    for d in divs:
         bits[x - d] = "1"
     return int("".join(bits), 2)
 

@@ -2,10 +2,11 @@
 
 alpha in S divides x in S when x - alpha is again in S, so
 D(x) = S intersect (x - S).  Only elements of S up to x matter, which
-keeps the computation to a single pass over S_x.  Divisor sets are kept
-as sorted tuples: unions, counts and interval filters are then merge
-style and deterministic, which matters because the minimization in the
-distance search compares cardinalities constantly.
+keeps the computation to a single pass over S_x, which the element guard
+of ``NumericalSemigroup.elements_up_to`` bounds.  Divisor sets are kept as
+sorted tuples, so results are deterministic; ``divisors_of_set`` unions
+them as Python sets, and the distance searches in ``distances`` union
+them as int bitmasks.
 """
 
 from __future__ import annotations

@@ -19,7 +19,6 @@ i >= a vanish because a - i stays in (-b, 0] for i < a + b.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, divisors_above
@@ -36,7 +35,6 @@ def _check_interval(a: int, b: int) -> None:
         raise InvalidParams(f"need 0 < b < a, got a={a}, b={b}")
 
 
-@lru_cache(maxsize=None)
 def interval_semigroup(a: int, b: int) -> NumericalSemigroup:
     """The numerical semigroup minimally generated by [a, a+b]."""
     _check_interval(a, b)
@@ -164,20 +162,6 @@ def interval_feng_rao_number(a: int, b: int, r: int) -> int:
     return r - 1 + _ceil_sum0(width, a, b)
 
 
-def _offset_count(a: int, b: int, m: int, offsets: tuple[int, ...]) -> int:
-    """Ceiling-sum divisor count of {m + i : i in offsets}; see below."""
-    sgp = interval_semigroup(a, b)
-    total = m + 1 - 2 * sgp.genus
-    for prev, cur in zip(offsets, offsets[1:]):
-        d = cur - prev
-        total += (
-            _ceil_sum0(cur, a + b, b)
-            - _ceil_sum0(prev, a + b, b)
-            - _ceil_sum0(d, d, b)
-        )
-    return total
-
-
 def interval_shadow_divisor_count(
     a: int, b: int, m: int, offsets: tuple[int, ...] | list[int], *, check: bool = True
 ) -> int:
@@ -203,7 +187,15 @@ def interval_shadow_divisor_count(
         config = Configuration(base=m, elements=tuple(m + i for i in offs))
         if not is_amenable(sgp, config):
             raise NotAmenable(f"offsets {offs} do not give an amenable set")
-    return _offset_count(a, b, m, offs)
+    total = m + 1 - 2 * sgp.genus
+    for prev, cur in zip(offs, offs[1:]):
+        d = cur - prev
+        total += (
+            _ceil_sum0(cur, a + b, b)
+            - _ceil_sum0(prev, a + b, b)
+            - _ceil_sum0(d, d, b)
+        )
+    return total
 
 
 def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSet:

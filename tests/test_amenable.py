@@ -15,7 +15,6 @@ from fengrao import (
     enumerate_amenable,
     feng_rao_distance,
     from_generators,
-    ground,
     interval_extra_divisors,
     interval_semigroup,
     interval_shadow_divisor_count,
@@ -49,22 +48,6 @@ def def_amenable(sgp, config):
 
 def cfg(m, elements):
     return Configuration(base=m, elements=tuple(elements))
-
-
-# ------------------------------------------------------------- ground
-
-
-def test_ground_goldens():
-    assert ground(from_generators(range(19, 24)), 189).upper == 212
-    assert ground(from_generators([1]), 0).upper == 1
-    g = ground(from_generators([9, 13, 15]), 95)
-    assert (g.base, g.upper, g.width) == (95, 110, 15)
-    assert 109 in g and 110 not in g
-
-
-def test_ground_base_too_small():
-    with pytest.raises(BaseTooSmall):
-        ground(from_generators([9, 13, 15]), 94)
 
 
 # ------------------------------------------------------------- shadow
@@ -349,7 +332,6 @@ def test_shift_and_closure_transformations():
 
 # every entry point that takes a base m, called with a small valid rest
 BASE_RULE_CALLS = {
-    "ground": ground,
     "is_amenable": lambda s, m: is_amenable(s, cfg(m, [m])),
     "enumerate_amenable": lambda s, m: list(enumerate_amenable(s, m, 2)),
     "feng_rao_distance": lambda s, m: feng_rao_distance(s, m, 2),

@@ -9,7 +9,15 @@ from pathlib import Path
 import pytest
 
 import fengrao.cli as cli
-from fengrao import enumerate_amenable, from_generators, shadow_representatives
+import fengrao.semigroup as semigroup
+from fengrao import (
+    enumerate_amenable,
+    from_generators,
+    interval_feng_rao_number,
+    interval_semigroup,
+    rho_equality_predicted,
+    shadow_representatives,
+)
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -136,6 +144,40 @@ def test_semigroup_arguments_refused(capsys):
     assert exc.value.code == 2
 
 
+def test_element_bound_refused_before_allocating(monkeypatch, capsys):
+    # above the element guard, divisors and both distance searches exit 2
+    # before any list or string sized by x or m exists
+    real_range = range
+
+    def guarded_range(*args):
+        assert max(args) <= 10**6, "a range sized by x was built"
+        return real_range(*args)
+
+    monkeypatch.setattr(semigroup, "range", guarded_range, raising=False)
+    code, _ = run_cli(capsys, "divisors", "--gens", "2,3", "--x", "10000000000")
+    assert code == 2
+    over = str(semigroup._MAX_ELEMENT + 1)
+    tracemalloc.start()
+    try:
+        for method in ("generic", "brute", "all"):
+            code, _ = run_cli(
+                capsys, "distance", "--gens", "5,6,7,9", "--r", "2", "--m", over,
+                "--method", method,
+            )
+            assert code == 2, method
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000  # a divisor-mask string for m would take 32 MB
+    # the interval closed form allocates nothing and takes any base
+    code, out = run_cli(
+        capsys, "distance", "--interval", "5,2", "--r", "3", "--m", "10000000000",
+        "--no-timing",
+    )
+    assert code == 0
+    assert out.splitlines()[1].startswith("3,10000000000,")
+
+
 def test_distance_translation(capsys):
     _, at_base = run_cli(
         capsys, "distance", "--gens", "5,6,7", "--r", "3", "--no-timing"
@@ -223,6 +265,54 @@ def test_grid_rho_flag_matches_predicted_sets(capsys):
     }
     expected = {1, 3, 4, 7, 8, 9, 10}
     assert {r for r, f in flags.items() if f == "yes"} == expected
+
+
+def old_grid_rendering(amax, bmax, rmax, fmt):
+    """What the grid command printed when it built every row before writing."""
+    rows = []
+    for a in range(2, amax + 1):
+        for b in range(1, min(a - 1, bmax) + 1):
+            sgp = interval_semigroup(a, b)
+            for r in range(1, rmax + 1):
+                rows.append({
+                    "a": a,
+                    "b": b,
+                    "r": r,
+                    "e": interval_feng_rao_number(a, b, r),
+                    "rho": sgp.rho(r),
+                    "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
+                })
+    return render_table(rows, fmt)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_grid_streams_the_whole_table_rendering(fmt, tmp_path, capsys):
+    # full triangles, bmax < amax - 1, bmax above amax - 1, and rmax = 1
+    for amax, bmax, rmax in [(2, 1, 1), (6, 3, 8), (12, 11, 12), (9, 2, 5),
+                             (7, 6, 1), (5, 9, 3)]:
+        expected = old_grid_rendering(amax, bmax, rmax, fmt)
+        argv = ["grid", "--amax", str(amax), "--bmax", str(bmax), "--rmax", str(rmax),
+                "--format", fmt]
+        assert run_cli(capsys, *argv) == (0, expected), (amax, bmax, rmax)
+        target = tmp_path / "out.txt"
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert target.read_text() == expected
+
+
+def test_grid_memory_stays_flat():
+    # 9,360 rows over 780 semigroups; the whole row list and a cache of every
+    # semigroup built peaked near 5 MB and kept over 2 MB after returning
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        code = cli.main(["grid", "--amax", "40", "--bmax", "39", "--rmax", "12",
+                         "--out", os.devnull])
+        after, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 2_000_000
+    assert after - before < 1_000_000
 
 
 def test_grid_invalid_bounds(capsys):
@@ -334,6 +424,11 @@ def test_out_file(tmp_path, capsys):
     )
     assert code == 0
     assert target.read_text().startswith("a,b,r,e,rho,rho_case")
+    for fmt in ("csv", "json", "ascii"):
+        argv = ["divisors", "--gens", "9,13,15", "--x", "60", "--format", fmt]
+        _, out = run_cli(capsys, *argv)
+        assert cli.main(argv + ["--out", str(target)]) == 0
+        assert target.read_text() == out
 
 
 def test_console_entry_point():

@@ -78,6 +78,25 @@ def test_size_guards_refuse_before_allocating(monkeypatch):
             from_generators(gens)
 
 
+def test_element_guard_refuses_before_allocating(monkeypatch):
+    # the generic search asks for elements up to m + n_e - 1 at the base
+    # m = 2c - 1, and n_e <= F + a_1, so every admitted semigroup is served
+    bound = semigroup._MAX_ELEMENT
+    assert 3 * semigroup._MAX_CONDUCTOR_BOUND + semigroup._MAX_MULTIPLICITY <= bound
+    s = from_generators([2, 3])
+
+    def refuse(*args):
+        raise Allocated(args)
+
+    # the list of elements above the conductor is built from this range
+    monkeypatch.setattr(semigroup, "range", refuse, raising=False)
+    for x in (bound + 1, 10**10):
+        with pytest.raises(InvalidInput, match="guard"):
+            s.elements_up_to(x)
+    with pytest.raises(Allocated):
+        s.elements_up_to(bound)
+
+
 def test_generator_minimalization():
     s = from_generators([4, 5, 9, 13, 14])
     assert s.minimal_generators == (4, 5)
