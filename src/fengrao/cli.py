@@ -4,7 +4,9 @@ Subcommands: divisors, distance, number, grid, amenable.  Tables are
 emitted as CSV (default), JSON (array of flat objects, fixed key order)
 or aligned ASCII; the divisors and amenable commands can also render a
 planified grid (columns are residues mod the multiplicity).  Exit codes:
-0 ok, 2 input error, 3 cross-check disagreement, 4 search-space cap hit.
+0 ok, 2 input error (also an --out file that cannot be opened, and a grid
+--amax or --rmax above the guards), 3 cross-check disagreement, 4
+search-space cap hit.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ import argparse
 import json
 import sys
 import time
-from contextlib import contextmanager
+from contextlib import contextmanager, nullcontext
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
@@ -32,7 +34,7 @@ from .interval import (
     interval_semigroup,
     rho_equality_predicted,
 )
-from .semigroup import NumericalSemigroup, from_generators
+from .semigroup import _MAX_MULTIPLICITY, NumericalSemigroup, from_generators
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -91,50 +93,49 @@ def _resolve_m(sgp: NumericalSemigroup, m_arg: int | None) -> int:
 @contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
     """The file named by --out, or stdout."""
-    if out_path:
-        with open(out_path, "w") as fh:
-            yield fh
-    else:
-        yield sys.stdout
+    try:
+        target = open(out_path, "w") if out_path else nullcontext(sys.stdout)
+    except OSError as exc:
+        raise _CliError(f"cannot open --out {out_path!r}: {exc.strerror}")
+    with target as fh:
+        yield fh
 
 
-def _write_table(rows: Iterable[dict], fmt: str, fh: TextIO) -> None:
-    """Rows share the same keys, in insertion order.
+def _write_table(
+    rows: Iterable[dict], fmt: str, fh: TextIO, widest: Iterable[dict] | None = None
+) -> None:
+    """Write rows that share the same keys, in insertion order, as they come.
 
-    CSV and JSON are written as the rows come, so a long listing is never
-    held whole; aligned ASCII needs every row for its column widths.
+    Aligned ASCII left-justifies the headers and right-justifies the cells
+    to the widest cell of each column in ``widest``, by default the rows
+    themselves, which are then held whole.
     """
     if fmt == "ascii":
-        fh.write(_render_ascii(list(rows)))
-        return
+        if widest is None:
+            rows = widest = list(rows)
+        widths = {}
+        for row in widest:
+            for key, value in row.items():
+                widths[key] = max(widths.get(key, len(key)), len(str(value)))
     first = True
     for row in rows:
         if fmt == "json":  # the layout of json.dumps(rows, indent=2)
             fh.write("[\n  " if first else ",\n  ")
             fh.write(json.dumps(row, indent=2).replace("\n", "\n  "))
-        else:
+        elif fmt == "csv":
             if first:
                 fh.write(",".join(row) + "\n")
             fh.write(",".join(str(v) for v in row.values()) + "\n")
+        else:
+            if first:
+                fh.write("  ".join(k.ljust(widths[k]) for k in row).rstrip() + "\n")
+            cells = (str(v).rjust(widths[k]) for k, v in row.items())
+            fh.write("  ".join(cells).rstrip() + "\n")
         first = False
     if fmt == "json":
         fh.write("[]\n" if first else "\n]\n")
     elif first:
         fh.write("\n")
-
-
-def _render_ascii(rows: list[dict]) -> str:
-    """Aligned columns: headers left-justified, cells right-justified."""
-    headers = list(rows[0].keys()) if rows else []
-    cells = [[str(row[h]) for h in headers] for row in rows]
-    widths = [
-        max(len(h), *(len(row[i]) for row in cells)) if cells else len(h)
-        for i, h in enumerate(headers)
-    ]
-    lines = ["  ".join(h.ljust(w) for h, w in zip(headers, widths)).rstrip()]
-    for row in cells:
-        lines.append("  ".join(v.rjust(w) for v, w in zip(row, widths)).rstrip())
-    return "\n".join(lines) + "\n"
 
 
 def _render_number_grid(
@@ -272,10 +273,20 @@ def _grid_rows(amax: int, bmax: int, rmax: int) -> Iterator[dict]:
 
 
 def _cmd_grid(args: argparse.Namespace) -> int:
-    if args.amax < 2 or args.bmax < 1 or args.rmax < 1:
+    amax, bmax, rmax = args.amax, args.bmax, args.rmax
+    if amax < 2 or bmax < 1 or rmax < 1:
         raise _CliError("grid needs --amax >= 2, --bmax >= 1, --rmax >= 1")
+    if amax > _MAX_MULTIPLICITY:
+        raise _CliError(f"--amax {amax} is above the limit of {_MAX_MULTIPLICITY}")
+    _size_range(rmax)
+    # a row as wide as the widest in every column: E and rho peak at
+    # (amax, 1, rmax), as E(S, r) <= rho_r, rho_r falls as b grows (<a..a+b>
+    # lies in <a..a+b+1>), and E(<a, a+1>, r) = rho_r grows with r and a
+    top = interval_feng_rao_number(amax, 1, rmax)
+    b = min(amax - 1, bmax)
+    widest = {"a": amax, "b": b, "r": rmax, "e": top, "rho": top, "rho_case": "yes"}
     with _output(args.out) as fh:
-        _write_table(_grid_rows(args.amax, args.bmax, args.rmax), args.format, fh)
+        _write_table(_grid_rows(amax, bmax, rmax), args.format, fh, [widest])
     return EXIT_OK
 
 

@@ -4,12 +4,14 @@ A numerical semigroup S is a cofinite submonoid of the non-negative
 integers.  Everything downstream (divisor sets, amenable sets, Feng-Rao
 distances) queries membership heavily, so construction eagerly computes
 the least element of S in every residue class modulo the multiplicity;
-membership is then a single table lookup.
+membership is then a single table lookup, and the conductor, genus, gaps
+and minimal generators are all read off that table.
 """
 
 from __future__ import annotations
 
 import heapq
+from bisect import bisect_right
 from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
@@ -138,32 +140,23 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     least = _least_in_residues(unique, mult)
     conductor = max(least) - mult + 1
     genus = sum(d // mult for d in least)
-
-    gaps: list[int] = []
-    for d in least:
-        gaps.extend(range(d - mult, 0, -mult))
-    gaps.sort()
-
-    gap_set = set(gaps)
-    small = tuple(n for n in range(conductor + 1) if n not in gap_set)
-
-    def is_element(n: int) -> bool:
-        return n >= 0 and n >= least[n % mult]
-
-    def is_reducible(g: int) -> bool:
-        return any(
-            is_element(s) and is_element(g - s) for s in range(mult, g // 2 + 1)
-        )
-
-    minimal = tuple(g for g in unique if not is_reducible(g))
+    gaps = tuple(n for n in range(conductor) if n < least[n % mult])
+    small = tuple(n for n in range(conductor + 1) if n >= least[n % mult])
+    # g is a sum of two nonzero elements iff g - h is in S for a minimal
+    # generator h inside the first summand; g - h below mult is a gap
+    minimal: list[int] = []
+    for g in unique:
+        below = minimal[: bisect_right(minimal, g - mult)]
+        if all(g - h < least[(g - h) % mult] for h in below):
+            minimal.append(g)
 
     sgp = NumericalSemigroup(
-        minimal_generators=minimal,
+        minimal_generators=tuple(minimal),
         multiplicity=mult,
         conductor=conductor,
         frobenius=conductor - 1,
         genus=genus,
-        gaps=tuple(gaps),
+        gaps=gaps,
         small_elements=small,
         _least=tuple(least),
     )

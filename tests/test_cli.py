@@ -287,9 +287,15 @@ def old_grid_rendering(amax, bmax, rmax, fmt):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_grid_streams_the_whole_table_rendering(fmt, tmp_path, capsys):
-    # full triangles, bmax < amax - 1, bmax above amax - 1, and rmax = 1
+    # full triangles, bmax < amax - 1, bmax above amax - 1, and rmax = 1; then
+    # for the ascii widths, fixed from (amax, 1, rmax) before the first row,
+    # each side of a column gaining a digit: e and r reach 10, a and b reach
+    # 10, bmax has more digits than amax - 1, e reaches 100, and r reaches 100
+    assert interval_feng_rao_number(12, 1, 40) == 99
     for amax, bmax, rmax in [(2, 1, 1), (6, 3, 8), (12, 11, 12), (9, 2, 5),
-                             (7, 6, 1), (5, 9, 3)]:
+                             (7, 6, 1), (5, 9, 3), (2, 1, 9), (2, 1, 10),
+                             (10, 9, 1), (11, 10, 1), (5, 12, 3), (12, 2, 40),
+                             (12, 2, 41), (3, 2, 100)]:
         expected = old_grid_rendering(amax, bmax, rmax, fmt)
         argv = ["grid", "--amax", str(amax), "--bmax", str(bmax), "--rmax", str(rmax),
                 "--format", fmt]
@@ -301,22 +307,44 @@ def test_grid_streams_the_whole_table_rendering(fmt, tmp_path, capsys):
 
 def test_grid_memory_stays_flat():
     # 9,360 rows over 780 semigroups; the whole row list and a cache of every
-    # semigroup built peaked near 5 MB and kept over 2 MB after returning
-    tracemalloc.start()
-    try:
-        before = tracemalloc.get_traced_memory()[0]
-        code = cli.main(["grid", "--amax", "40", "--bmax", "39", "--rmax", "12",
-                         "--out", os.devnull])
-        after, peak = tracemalloc.get_traced_memory()
-    finally:
-        tracemalloc.stop()
-    assert code == 0
-    assert peak < 2_000_000
-    assert after - before < 1_000_000
+    # semigroup built peaked near 5 MB and kept over 2 MB after returning, and
+    # aligned ascii, which collected its rows for the column widths, near 8 MB
+    for fmt in ("csv", "ascii"):
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            code = cli.main(["grid", "--amax", "40", "--bmax", "39", "--rmax", "12",
+                             "--format", fmt, "--out", os.devnull])
+            after, peak = tracemalloc.get_traced_memory()
+        finally:
+            tracemalloc.stop()
+        assert code == 0
+        assert peak < 2_000_000, fmt
+        assert after - before < 1_000_000, fmt
 
 
 def test_grid_invalid_bounds(capsys):
     assert cli.main(["grid", "--amax", "1", "--bmax", "1", "--rmax", "1"]) == 2
+
+
+def test_grid_bounds_refused_before_any_row(monkeypatch, tmp_path, capsys):
+    def refuse(*args, **kwargs):
+        raise AssertionError("the grid started")
+
+    for name in ("interval_semigroup", "interval_feng_rao_number",
+                 "rho_equality_predicted"):
+        monkeypatch.setattr(cli, name, refuse)
+    target = tmp_path / "grid.csv"
+    over_a = str(semigroup._MAX_MULTIPLICITY + 1)
+    for amax, rmax in [(over_a, "1"), ("2", "1000000000000"), ("2", "10001")]:
+        argv = ["grid", "--amax", amax, "--bmax", "1", "--rmax", rmax]
+        assert cli.main(argv + ["--out", str(target)]) == 2, (amax, rmax)
+        out, err = capsys.readouterr()
+        assert out == "" and err.startswith("error: ")
+        assert not target.exists()
+    for amax, rmax in [(str(semigroup._MAX_MULTIPLICITY), "1"), ("2", "10000")]:
+        with pytest.raises(AssertionError, match="started"):
+            cli.main(["grid", "--amax", amax, "--bmax", "1", "--rmax", rmax])
 
 
 def test_amenable_listing(capsys):
@@ -429,6 +457,22 @@ def test_out_file(tmp_path, capsys):
         _, out = run_cli(capsys, *argv)
         assert cli.main(argv + ["--out", str(target)]) == 0
         assert target.read_text() == out
+
+
+@pytest.mark.parametrize("command", [
+    ["divisors", "--gens", "4,5", "--x", "9"],
+    ["grid", "--amax", "3", "--bmax", "1", "--rmax", "1"],
+    ["number", "--interval", "4,1", "--r", "2"],
+    ["amenable", "--gens", "4,5", "--r", "2"],
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_opened_exits_2(command, tmp_path, capsys):
+    # a directory (IsADirectoryError) and a missing parent (FileNotFoundError)
+    for target in (tmp_path, tmp_path / "missing" / "x.csv"):
+        assert cli.main(command + ["--out", str(target)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err.startswith("error: cannot open --out ") and err.count("\n") == 1
+    assert not (tmp_path / "missing").exists()
 
 
 def test_console_entry_point():

@@ -120,7 +120,8 @@ def test_brute_force_cap():
 
 
 def test_two_generator_rho_comparison_report():
-    # Whether E(S, r) = rho_r for every two-generator semigroup is open;
+    # E(S, r) = rho_r for every two-generator semigroup (Delgado, Farran,
+    # Garcia-Sanchez and Llena, 2014), a property in test_properties.py;
     # report the comparison for the corpus pairs, assert nothing about it.
     lines = []
     for gens in [(3, 5), (3, 7), (4, 7), (5, 8), (7, 10)]:

@@ -13,8 +13,10 @@ from fengrao import (  # noqa: E402
     feng_rao_distance,
     feng_rao_distances,
     from_generators,
+    interval_semigroup,
     is_amenable,
     nu,
+    rho_equality_predicted,
     smallest_asymptotic_base,
 )
 
@@ -46,3 +48,45 @@ def test_one_pass_distances_equal_brute_force(s, bounds):
         assert res.delta == brute_force_distance(s, m, res.r).delta
         assert is_amenable(s, res.witness) and len(res.witness) == res.r
         assert nu(s, res.witness.elements) == res.delta
+
+
+def feng_rao_numbers(s, rmax):
+    """E(S, 1), ..., E(S, rmax) from one generic search at the base 2c - 1."""
+    results = feng_rao_distances(s, smallest_asymptotic_base(s), range(1, rmax + 1))
+    return [res.e_number for res in results]
+
+
+@settings(derandomize=True, database=None, max_examples=100, deadline=None)
+@given(s=small_semigroups())
+def test_feng_rao_number_at_most_rho(s):
+    # the Goppa-like bound of Farran and Munuera (2003): E(S, r) <= rho_r,
+    # with equality for r >= c + 1
+    for r, e in enumerate(feng_rao_numbers(s, min(s.conductor + 2, 10)), start=1):
+        assert e <= s.rho(r), r
+        if r >= s.conductor + 1:
+            assert e == s.rho(r), r
+
+
+@st.composite
+def two_generator_semigroups(draw):
+    a = draw(st.integers(2, 8))
+    b = draw(st.integers(a + 1, 2 * a + 3))
+    assume(gcd(a, b) == 1)
+    return from_generators([a, b])
+
+
+@settings(derandomize=True, database=None, max_examples=60, deadline=None)
+@given(s=two_generator_semigroups())
+def test_two_generator_feng_rao_number_is_rho(s):
+    # Delgado, Farran, Garcia-Sanchez and Llena (IEEE Trans. IT, 2014)
+    rmax = 8
+    assert feng_rao_numbers(s, rmax) == [s.rho(r) for r in range(1, rmax + 1)]
+
+
+def test_rho_equality_prediction_against_the_generic_search():
+    # every b < a <= 10 and r <= 10, E from the search, not the closed form
+    for a in range(2, 11):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            for r, e in enumerate(feng_rao_numbers(s, 10), start=1):
+                assert rho_equality_predicted(a, b, r) == (e == s.rho(r)), (a, b, r)

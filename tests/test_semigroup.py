@@ -1,3 +1,6 @@
+import random
+from math import gcd
+
 import pytest
 
 import fengrao.semigroup as semigroup
@@ -100,6 +103,26 @@ def test_element_guard_refuses_before_allocating(monkeypatch):
 def test_generator_minimalization():
     s = from_generators([4, 5, 9, 13, 14])
     assert s.minimal_generators == (4, 5)
+
+
+def test_minimalization_against_the_definition():
+    # g is reducible iff g = s + t with s and t nonzero elements of S; the
+    # seeded sample adds large generators, most of them redundant, and sums
+    rng = random.Random(2014)
+    checked = 0
+    while checked < 200:
+        a = rng.randint(2, 12)
+        gens = [a, *rng.sample(range(a + 1, 4 * a), rng.randint(1, 4))]
+        gens += [rng.randint(100, 1500) for _ in range(2)] + [gens[-1] + gens[-2]]
+        if gcd(*gens) != 1:
+            continue
+        hit = reachable_oracle(gens, max(gens))
+        expected = tuple(
+            g for g in sorted(set(gens))
+            if not any(hit[t] and hit[g - t] for t in range(1, g // 2 + 1))
+        )
+        assert from_generators(gens).minimal_generators == expected, gens
+        checked += 1
 
 
 def test_minimal_generators_are_minimal():
