@@ -209,6 +209,8 @@ def _one_result(
 
 
 def _cmd_distance_like(args: argparse.Namespace) -> int:
+    if args.max_brute < 0:
+        raise _CliError(f"--max-brute must be >= 0, got {args.max_brute}")
     sgp = _semigroup_from_args(args)
     m = _resolve_m(sgp, args.m)
     rs = _parse_r_range(args.r)
@@ -339,7 +341,14 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
         default="auto",
     )
     p.add_argument("--m", type=int, default=None, help="base (default 2c-1)")
-    p.add_argument("--max-brute", type=int, default=DEFAULT_SUBSET_CAP)
+    p.add_argument(
+        "--max-brute",
+        type=int,
+        default=DEFAULT_SUBSET_CAP,
+        help="exit 4 when brute force has more candidate subsets "
+        "C(rho_r, r-1) than this, counted before the search starts; the "
+        "pruned search visits at most that many",
+    )
     p.add_argument(
         "--no-timing",
         action="store_true",

@@ -5,14 +5,13 @@ an r-element configuration starting at or above m.  For m >= 2c-1 an
 optimal configuration can always be chosen amenable, the count only
 depends on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the
 r-th Feng-Rao number, so E is evaluated once at the smallest admissible
-base.  A no-theory exhaustive search over all r-subsets serves as the
-independent oracle.
+base.  A no-theory branch-and-bound search over all r-subsets, pruned by
+divisor counts alone, serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import combinations
 from math import comb
 
 from .amenable import (
@@ -133,13 +132,26 @@ def brute_force_distance(
     r: int,
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> FengRaoResult:
-    """Exact delta^r(m) by enumerating every r-subset of S in [m, m + rho_r].
+    """Exact delta^r(m) by a search over every r-subset of S in [m, m + rho_r].
 
-    No amenability filtering: this is the independent oracle for
-    feng_rao_distance.  The window is enough because some optimal
-    configuration satisfies m_i <= m + rho_i.  Raises SearchSpaceTooLarge
-    when the number of candidate subsets exceeds ``max_subsets``.
+    The window is enough because some optimal configuration satisfies
+    m_i <= m + rho_i.  The subsets are {m} plus the (r-1)-subsets of
+    (m, m + rho_r], walked depth first in lexicographic order with the
+    divisor union of each prefix.  A subtree is skipped once
+    #D(prefix) + (elements still to add) >= the best count so far: each
+    added x is larger than every element already chosen, so x itself is
+    a new divisor.  Only strictly smaller counts replace the best, so
+    the witness is the first minimal subset in lexicographic order.
+
+    The bound uses nothing but that count, with no amenability, no
+    shadows and no closed form, so this stays the independent oracle for
+    feng_rao_distance.  Raises InvalidInput for a negative
+    ``max_subsets`` and SearchSpaceTooLarge, before any divisor set is
+    built, when the number of candidate subsets C(rho_r, r-1) exceeds it;
+    the subsets the search visits are usually far fewer.
     """
+    if max_subsets < 0:
+        raise InvalidInput(f"subset cap must be >= 0, got {max_subsets}")
     _check_args(sgp, m, r)
     candidates = range(m + 1, m + sgp.rho(r) + 1)  # every integer >= m is in S
     total = comb(len(candidates), r - 1)
@@ -149,19 +161,35 @@ def brute_force_distance(
         )
 
     base_mask = _divisor_mask(sgp, m)
-    mask_of = {x: _divisor_mask(sgp, x) for x in candidates}
-
-    best: int | None = None
-    witness: tuple[int, ...] | None = None
-    for combo in combinations(candidates, r - 1):
-        union = base_mask
-        for x in combo:
-            union |= mask_of[x]
-        count = union.bit_count()
-        if best is None or count < best:
-            best = count
-            witness = (m,) + combo
-    assert best is not None and witness is not None
+    masks = [_divisor_mask(sgp, x) for x in candidates]
+    n = len(masks)
+    witness: list[int] = []  # candidate indices of the best subset
+    if r == 1:
+        best = base_mask.bit_count()
+    else:
+        best = m + n + 2  # a union has at most m + n + 1 bits: the first leaf wins
+        chosen = [0] * (r - 1)  # the candidate index taken at each depth
+        # one (indices left to try, prefix union) slot per depth, not
+        # recursion, because r may run into the thousands
+        stack = [(iter(range(n - r + 2)), base_mask)]
+        while stack:
+            depth = len(stack) - 1
+            left = r - 1 - depth  # elements still to add, the next one included
+            indices, union = stack[-1]
+            for i in indices:
+                grown = union | masks[i]
+                count = grown.bit_count()
+                if left == 1:
+                    if count < best:
+                        best = count
+                        witness = chosen[:depth] + [i]
+                elif count + left - 1 < best:  # each later element adds itself
+                    chosen[depth] = i
+                    stack.append((iter(range(i + 1, n - left + 2)), grown))
+                    break
+            else:
+                stack.pop()
+    elements = (m,) + tuple(m + 1 + i for i in witness)
     return FengRaoResult(
         generators=sgp.minimal_generators,
         m=m,
@@ -169,5 +197,5 @@ def brute_force_distance(
         delta=best,
         e_number=best - (m + 1 - 2 * sgp.genus),
         method="brute-force",
-        witness=Configuration(base=m, elements=witness),
+        witness=Configuration(base=m, elements=elements),
     )

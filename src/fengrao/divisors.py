@@ -1,9 +1,10 @@
 """Divisor sets D(x) and divisor counts of configurations.
 
 alpha in S divides x in S when x - alpha is again in S, so
-D(x) = S intersect (x - S).  Only elements of S up to x matter, which
-keeps the computation to a single pass over S_x, which the element guard
-of ``NumericalSemigroup.elements_up_to`` bounds.  Divisor sets are kept as
+D(x) = S intersect (x - S).  Past the conductor c membership is free,
+so ``divisors`` tests only the elements below c and takes the block
+[c, x - c] whole; an x above the element guard of ``semigroup`` is
+refused before anything sized by x is built.  Divisor sets are kept as
 sorted tuples, so results are deterministic; ``divisors_of_set`` unions
 them as Python sets, and the distance searches in ``distances`` union
 them as int bitmasks.
@@ -11,11 +12,12 @@ them as int bitmasks.
 
 from __future__ import annotations
 
+from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
 from .errors import InvalidRange, NotElement
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _check_element
 
 
 @dataclass(frozen=True)
@@ -36,11 +38,25 @@ class DivisorSet:
 
 
 def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
-    """D(x) = {s in S | x - s in S}, ascending."""
+    """D(x) = {s in S | x - s in S}, ascending, in three zones.
+
+    Every s in [c, x - c] divides x, since both s and x - s are at least
+    c.  Below and above that block one of s and x - s is an element
+    t < c: an element t <= x - c divides x together with x - t, and any
+    other element below c is tested for x - t in S.  The work is O(c)
+    plus the size of D(x).
+    """
     if not sgp.contains(x):
         raise NotElement(f"{x} is not an element of the semigroup")
-    divs = tuple(s for s in sgp.elements_up_to(x) if sgp.contains(x - s))
-    return DivisorSet(elements=divs, source=(x,))
+    _check_element(x)
+    c = sgp.conductor
+    below = sgp.small_elements[:-1]  # the elements below c; the last one is c
+    k = bisect_right(below, x - c)
+    divs = list(below[:k])
+    divs.extend(t for t in below[k:] if t <= x and sgp.contains(x - t))
+    divs.extend(range(c, x - c + 1))
+    divs.extend([x - t for t in reversed(below[:k])])
+    return DivisorSet(elements=tuple(divs), source=(x,))
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:

@@ -24,11 +24,17 @@ from .errors import InvalidInput, NotNumerical
 # with a_j the first generator at which the running gcd reaches 1, caps c.
 _MAX_MULTIPLICITY = 1_000
 _MAX_CONDUCTOR_BOUND = 1_000_000
-# Largest x for which elements_up_to builds its list of about x ints.  At
-# the base m = 2c - 1 the generic search asks for elements up to m + n_e - 1,
-# and n_e <= F + a_1 for every minimal generator, so within the guards
-# above that stays below 3 * 10^6 + 10^3.
+# Largest x for which elements_up_to and divisors build a list of about x
+# ints.  At the base m = 2c - 1 the generic search asks for D(x) up to
+# x = m + n_e - 1, and n_e <= F + a_1 for every minimal generator, so
+# within the guards above that stays below 3 * 10^6 + 10^3.
 _MAX_ELEMENT = 4_000_000
+
+
+def _check_element(x: int) -> None:
+    """Refuse an x above _MAX_ELEMENT, before anything sized by x exists."""
+    if x > _MAX_ELEMENT:
+        raise InvalidInput(f"element {x} exceeds the guard of {_MAX_ELEMENT}")
 
 
 def _least_in_residues(gens: Sequence[int], mult: int) -> list[int]:
@@ -91,8 +97,7 @@ class NumericalSemigroup:
 
         Raises InvalidInput, before allocating, for x above _MAX_ELEMENT.
         """
-        if x > _MAX_ELEMENT:
-            raise InvalidInput(f"element {x} exceeds the guard of {_MAX_ELEMENT}")
+        _check_element(x)
         if x < 0:
             return []
         c = self.conductor

@@ -1,0 +1,92 @@
+"""Full sweep of the brute-force oracle against the two other methods.
+
+Not collected by pytest (the name does not start with ``test_``).  Run it
+from the repository root:
+
+    PYTHONPATH=src python tests/sweep_oracle.py [--amax 30] [--rmax 16]
+
+Part one compares ``brute_force_distance`` at m = 2c - 1 with the
+interval closed form at every point of b < a <= amax, r <= rmax.  Part
+two compares it with the generic search on the test corpus, for r <= 8
+at the bases 2c - 1, ..., 2c + 5.  Each part prints its range, point
+count, mismatches and wall time; the exit code is 1 on any mismatch.
+No subset cap applies: the sweep wants every point answered.
+"""
+
+from __future__ import annotations
+
+import argparse
+import sys
+import time
+
+from corpus import CORPUS  # tests/, the script's directory, is on sys.path
+
+from fengrao import (
+    brute_force_distance,
+    feng_rao_distances,
+    from_generators,
+    interval_feng_rao_number,
+    interval_semigroup,
+    smallest_asymptotic_base,
+)
+
+NO_CAP = float("inf")
+CORPUS_RMAX = 8
+CORPUS_OFFSETS = range(7)
+
+
+def sweep_closed_form(amax: int, rmax: int) -> tuple[int, list[tuple]]:
+    points, mismatches = 0, []
+    for a in range(2, amax + 1):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            m = smallest_asymptotic_base(s)
+            for r in range(1, rmax + 1):
+                points += 1
+                brute = brute_force_distance(s, m, r, max_subsets=NO_CAP).e_number
+                closed = interval_feng_rao_number(a, b, r)
+                if brute != closed:
+                    mismatches.append((a, b, r, brute, closed))
+    return points, mismatches
+
+
+def sweep_generic() -> tuple[int, list[tuple]]:
+    points, mismatches = 0, []
+    for gens in CORPUS:
+        s = from_generators(gens)
+        for offset in CORPUS_OFFSETS:
+            m = smallest_asymptotic_base(s) + offset
+            for res in feng_rao_distances(s, m, range(1, CORPUS_RMAX + 1)):
+                points += 1
+                brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
+                if brute.delta != res.delta:
+                    mismatches.append((gens, m, res.r, brute.delta, res.delta,
+                                       brute.witness.elements, res.witness.elements))
+    return points, mismatches
+
+
+def report(label: str, points: int, mismatches: list[tuple], seconds: float) -> None:
+    print(f"{label}: {points} points, {len(mismatches)} mismatches, {seconds:.1f} s")
+    for mismatch in mismatches:
+        print(f"  mismatch {mismatch}")
+
+
+def main(argv: list[str] | None = None) -> int:
+    parser = argparse.ArgumentParser(description=__doc__.splitlines()[0])
+    parser.add_argument("--amax", type=int, default=30)
+    parser.add_argument("--rmax", type=int, default=16)
+    args = parser.parse_args(argv)
+
+    t0 = time.perf_counter()
+    points, closed = sweep_closed_form(args.amax, args.rmax)
+    report(f"brute vs closed form, b < a <= {args.amax}, r <= {args.rmax}, m = 2c-1",
+           points, closed, time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    points, generic = sweep_generic()
+    report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX}, "
+           f"m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}", points, generic, time.perf_counter() - t0)
+    return 1 if closed or generic else 0
+
+
+if __name__ == "__main__":
+    sys.exit(main())

@@ -1,3 +1,4 @@
+import importlib
 import io
 import json
 import os
@@ -18,6 +19,9 @@ from fengrao import (
     rho_equality_predicted,
     shadow_representatives,
 )
+
+# the package re-exports the function divisors under the module's name
+divisors_module = importlib.import_module("fengrao.divisors")
 
 GOLDEN = Path(__file__).parent / "golden"
 
@@ -109,6 +113,18 @@ def test_brute_cap_exit_code(capsys):
     assert code == 4
 
 
+def test_negative_brute_cap_is_an_input_error(capfd):
+    # refused before any search, on every method, not taken as a cap hit
+    for method in ("brute", "all", "generic"):
+        code = cli.main([
+            "number", "--gens", "4,5", "--r", "2", "--method", method,
+            "--max-brute", "-1", "--no-timing",
+        ])
+        out, err = capfd.readouterr()
+        assert (code, out) == (2, ""), method
+        assert err == "error: --max-brute must be >= 0, got -1\n"
+
+
 def test_brute_cap_stops_all_before_the_generic_search(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the generic search ran")
@@ -153,7 +169,9 @@ def test_element_bound_refused_before_allocating(monkeypatch, capsys):
         assert max(args) <= 10**6, "a range sized by x was built"
         return real_range(*args)
 
-    monkeypatch.setattr(semigroup, "range", guarded_range, raising=False)
+    # elements_up_to and the divisor block above the conductor use range
+    for module in (semigroup, divisors_module):
+        monkeypatch.setattr(module, "range", guarded_range, raising=False)
     code, _ = run_cli(capsys, "divisors", "--gens", "2,3", "--x", "10000000000")
     assert code == 2
     over = str(semigroup._MAX_ELEMENT + 1)

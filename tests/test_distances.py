@@ -1,3 +1,7 @@
+import random
+from itertools import combinations
+from math import comb, gcd
+
 import pytest
 
 from fengrao import (
@@ -9,10 +13,13 @@ from fengrao import (
     feng_rao_distance,
     feng_rao_number,
     from_generators,
+    interval_feng_rao_number,
+    interval_semigroup,
     is_amenable,
     nu,
     smallest_asymptotic_base,
 )
+from fengrao.distances import _divisor_mask
 
 from corpus import corpus_semigroups
 
@@ -117,6 +124,75 @@ def test_brute_force_cap():
     s = from_generators([9, 13, 15])
     with pytest.raises(SearchSpaceTooLarge):
         brute_force_distance(s, 95, 5, max_subsets=10)
+    with pytest.raises(InvalidInput, match="subset cap"):
+        brute_force_distance(s, 95, 1, max_subsets=-1)
+    # the cap counts the candidate subsets C(rho_r, r-1), not those visited
+    assert comb(s.rho(5), 4) == 3060
+    with pytest.raises(SearchSpaceTooLarge, match="^3060 candidate"):
+        brute_force_distance(s, 95, 5, max_subsets=3059)
+    assert brute_force_distance(s, 95, 5, max_subsets=3060).r == 5
+
+
+def combinations_brute_force(sgp, m, r):
+    """(delta, witness) over every (r-1)-subset in combinations order.
+
+    The oracle before branch and bound, kept as the reference: no
+    pruning, the first minimal subset wins.
+    """
+    candidates = range(m + 1, m + sgp.rho(r) + 1)
+    base_mask = _divisor_mask(sgp, m)
+    mask_of = {x: _divisor_mask(sgp, x) for x in candidates}
+    best = witness = None
+    for combo in combinations(candidates, r - 1):
+        union = base_mask
+        for x in combo:
+            union |= mask_of[x]
+        count = union.bit_count()
+        if best is None or count < best:
+            best, witness = count, (m,) + combo
+    return best, witness
+
+
+def test_brute_force_matches_the_combinations_reference():
+    # random semigroups of multiplicity <= 14, r <= 7, bases 2c-1 + 0..6;
+    # same delta and same witness, the first minimum in lexicographic order
+    rng = random.Random(7)
+    points = []
+    while len(points) < 400:
+        a = rng.randint(1, 14)
+        rest = rng.sample(range(a + 1, 3 * a + 3), rng.randint(0, min(3, 2 * a + 2)))
+        if gcd(a, *rest) != 1:
+            continue
+        s = from_generators([a, *rest])
+        r = rng.randint(1, 7)
+        if comb(s.rho(r), r - 1) > 300_000:
+            continue
+        points.append((s, smallest_asymptotic_base(s) + rng.randint(0, 6), r))
+    for s, m, r in points:
+        res = brute_force_distance(s, m, r)
+        expected = combinations_brute_force(s, m, r)
+        assert (res.delta, res.witness.elements) == expected, (s.minimal_generators, m, r)
+
+
+def test_brute_force_depth_is_not_bound_by_the_recursion_limit():
+    # <2,3> has C(rho_r, r-1) = r candidate subsets, so r passes any cap;
+    # E(S, r) = rho_r for two generators
+    s = from_generators([2, 3])
+    res = brute_force_distance(s, 3, 1500)
+    assert res.e_number == s.rho(1500)
+    assert res.witness.elements == tuple(range(3, 1503))
+
+
+def test_brute_force_equals_closed_form_on_the_acceptance_grid():
+    # all 792 points of b < a <= 12, r <= 12; <12,13> at r = 12 has about
+    # 2.9 * 10^10 candidate subsets, so the cap is raised past that
+    for a in range(2, 13):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            m = smallest_asymptotic_base(s)
+            for r in range(1, 13):
+                res = brute_force_distance(s, m, r, max_subsets=10**11)
+                assert res.e_number == interval_feng_rao_number(a, b, r), (a, b, r)
 
 
 def test_two_generator_rho_comparison_report():

@@ -1,8 +1,11 @@
 import random
+import tracemalloc
 
 import pytest
 
+import fengrao.semigroup as semigroup
 from fengrao import (
+    InvalidInput,
     InvalidRange,
     NotElement,
     divisors,
@@ -56,6 +59,20 @@ def test_divisors_against_double_loop(gens):
     for x in range(2 * s.conductor + 2 * s.largest_generator + 1):
         if s.contains(x):
             assert list(divisors(s, x).elements) == brute_divisors(s, x)
+
+
+def test_element_guard_refuses_before_allocating():
+    # the block [c, x - c] alone would take about 32 MB at the guard
+    s = from_generators([5, 6, 7, 9])
+    tracemalloc.start()
+    try:
+        for x in (semigroup._MAX_ELEMENT + 1, 10**10):
+            with pytest.raises(InvalidInput, match="guard"):
+                divisors(s, x)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_divisor_closure():

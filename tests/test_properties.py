@@ -31,14 +31,14 @@ def small_semigroups(draw):
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(s=small_semigroups(), r=st.integers(1, 5))
+@given(s=small_semigroups(), r=st.integers(1, 8))
 def test_generic_equals_brute_force(s, r):
     m = smallest_asymptotic_base(s)
     assert feng_rao_distance(s, m, r).delta == brute_force_distance(s, m, r).delta
 
 
 @settings(derandomize=True, database=None, max_examples=200, deadline=None)
-@given(s=small_semigroups(), bounds=st.tuples(st.integers(1, 5), st.integers(1, 5)))
+@given(s=small_semigroups(), bounds=st.tuples(st.integers(1, 8), st.integers(1, 8)))
 def test_one_pass_distances_equal_brute_force(s, bounds):
     lo, hi = sorted(bounds)
     m = smallest_asymptotic_base(s)
