@@ -4,18 +4,19 @@ Subcommands: divisors, distance, number, grid, amenable.  Tables are
 emitted as CSV (default), JSON (array of flat objects, fixed key order)
 or aligned ASCII; the divisors and amenable commands can also render a
 planified grid (columns are residues mod the multiplicity).  Exit codes:
-0 ok, 2 input error (also an --out file that cannot be opened, and a grid
---amax or --rmax above the guards), 3 cross-check disagreement, 4
-search-space cap hit.
+0 ok, 1 stdout closed by its reader, 2 input error (also an --out file
+that cannot be opened or written, and a grid --amax or --rmax above the
+guards), 3 cross-check disagreement, 4 search-space cap hit.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
+import os
 import sys
 import time
-from contextlib import contextmanager, nullcontext
+from contextlib import contextmanager
 from typing import Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
@@ -27,7 +28,7 @@ from .amenable import (
 )
 from .distances import DEFAULT_SUBSET_CAP, brute_force_distance, feng_rao_distances
 from .divisors import divisors
-from .errors import FengRaoError, SearchSpaceTooLarge
+from .errors import FengRaoError, InvalidInput, SearchSpaceTooLarge
 from .interval import (
     as_interval,
     interval_feng_rao_number,
@@ -42,12 +43,6 @@ EXIT_MISMATCH = 3
 EXIT_CAP = 4
 
 
-class _CliError(Exception):
-    def __init__(self, message: str, code: int = EXIT_INPUT):
-        super().__init__(message)
-        self.code = code
-
-
 # ---------------------------------------------------------------- helpers
 
 
@@ -55,7 +50,7 @@ def _parse_ints(text: str, what: str) -> list[int]:
     try:
         return [int(part) for part in text.split(",") if part.strip() != ""]
     except ValueError:
-        raise _CliError(f"cannot parse {what} {text!r} as comma-separated integers")
+        raise InvalidInput(f"cannot parse {what} {text!r} as comma-separated integers")
 
 
 def _parse_r_range(text: str) -> range:
@@ -66,9 +61,9 @@ def _parse_r_range(text: str) -> range:
         else:
             values = range(int(text), int(text) + 1)
     except ValueError:
-        raise _CliError(f"cannot parse r range {text!r}; use N or lo..hi")
+        raise InvalidInput(f"cannot parse r range {text!r}; use N or lo..hi")
     if not values or values.start < 1:
-        raise _CliError(f"r range {text!r} is empty or starts below 1")
+        raise InvalidInput(f"r range {text!r} is empty or starts below 1")
     return _size_range(values)
 
 
@@ -76,11 +71,11 @@ def _semigroup_from_args(args: argparse.Namespace) -> NumericalSemigroup:
     if getattr(args, "interval", None):
         pair = _parse_ints(args.interval, "--interval")
         if len(pair) != 2:
-            raise _CliError("--interval needs exactly two integers a,b")
+            raise InvalidInput("--interval needs exactly two integers a,b")
         return interval_semigroup(*pair)
     if getattr(args, "gens", None):
         return from_generators(_parse_ints(args.gens, "--gens"))
-    raise _CliError("one of --gens or --interval is required")
+    raise InvalidInput("one of --gens or --interval is required")
 
 
 def _resolve_m(sgp: NumericalSemigroup, m_arg: int | None) -> int:
@@ -92,13 +87,21 @@ def _resolve_m(sgp: NumericalSemigroup, m_arg: int | None) -> int:
 
 @contextmanager
 def _output(out_path: str | None) -> Iterator[TextIO]:
-    """The file named by --out, or stdout."""
+    """The file named by --out, or stdout.
+
+    Failing to open, write or close the file is an input error; stdout's
+    own errors, a closed pipe among them, pass through.
+    """
+    if not out_path:
+        yield sys.stdout
+        return
+    action = "open"
     try:
-        target = open(out_path, "w") if out_path else nullcontext(sys.stdout)
+        with open(out_path, "w") as fh:
+            action = "write"
+            yield fh
     except OSError as exc:
-        raise _CliError(f"cannot open --out {out_path!r}: {exc.strerror}")
-    with target as fh:
-        yield fh
+        raise InvalidInput(f"cannot {action} --out {out_path!r}: {exc.strerror}")
 
 
 def _write_table(
@@ -191,7 +194,7 @@ def _method_for(sgp: NumericalSemigroup, requested: str) -> str:
     if requested == "auto":
         return "interval" if interval else "generic"
     if requested == "interval" and interval is None:
-        raise _CliError("--method interval needs interval-shaped generators")
+        raise InvalidInput("--method interval needs interval-shaped generators")
     return requested
 
 
@@ -210,7 +213,7 @@ def _one_result(
 
 def _cmd_distance_like(args: argparse.Namespace) -> int:
     if args.max_brute < 0:
-        raise _CliError(f"--max-brute must be >= 0, got {args.max_brute}")
+        raise InvalidInput(f"--max-brute must be >= 0, got {args.max_brute}")
     sgp = _semigroup_from_args(args)
     m = _resolve_m(sgp, args.m)
     rs = _parse_r_range(args.r)
@@ -277,9 +280,9 @@ def _grid_rows(amax: int, bmax: int, rmax: int) -> Iterator[dict]:
 def _cmd_grid(args: argparse.Namespace) -> int:
     amax, bmax, rmax = args.amax, args.bmax, args.rmax
     if amax < 2 or bmax < 1 or rmax < 1:
-        raise _CliError("grid needs --amax >= 2, --bmax >= 1, --rmax >= 1")
+        raise InvalidInput("grid needs --amax >= 2, --bmax >= 1, --rmax >= 1")
     if amax > _MAX_MULTIPLICITY:
-        raise _CliError(f"--amax {amax} is above the limit of {_MAX_MULTIPLICITY}")
+        raise InvalidInput(f"--amax {amax} is above the limit of {_MAX_MULTIPLICITY}")
     _size_range(rmax)
     # a row as wide as the widest in every column: E and rho peak at
     # (amax, 1, rmax), as E(S, r) <= rho_r, rho_r falls as b grows (<a..a+b>
@@ -297,7 +300,7 @@ def _cmd_amenable(args: argparse.Namespace) -> int:
     m = _resolve_m(sgp, args.m)
     rs = _parse_r_range(args.r)
     if len(rs) != 1:
-        raise _CliError("amenable takes a single --r value")
+        raise InvalidInput("amenable takes a single --r value")
     source = shadow_representatives if args.representatives else enumerate_amenable
     # each set is written as the search yields it, so memory stays flat
     configs = enumerate(source(sgp, m, rs))
@@ -354,6 +357,7 @@ def _add_method_args(p: argparse.ArgumentParser) -> None:
         action="store_true",
         help="report elapsed_ms as 0.000 for byte-stable output",
     )
+    p.set_defaults(run=_cmd_distance_like)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -366,6 +370,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("divisors", help="divisors of a semigroup element")
     _add_common(p)
     p.add_argument("--x", type=int, required=True)
+    p.set_defaults(run=_cmd_divisors)
 
     p = sub.add_parser("distance", help="r-th Feng-Rao distance at m")
     _add_common(p)
@@ -381,12 +386,14 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--rmax", type=int, required=True)
     p.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
     p.add_argument("--out")
+    p.set_defaults(run=_cmd_grid)
 
     p = sub.add_parser("amenable", help="list amenable sets or shadow representatives")
     _add_common(p)
     p.add_argument("--r", required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--representatives", action="store_true")
+    p.set_defaults(run=_cmd_amenable)
 
     return parser
 
@@ -395,22 +402,18 @@ def main(argv: Sequence[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        if args.command == "divisors":
-            return _cmd_divisors(args)
-        if args.command in ("distance", "number"):
-            return _cmd_distance_like(args)
-        if args.command == "grid":
-            return _cmd_grid(args)
-        return _cmd_amenable(args)
-    except _CliError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return exc.code
-    except SearchSpaceTooLarge as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CAP
+        code = args.run(args)
+        sys.stdout.flush()  # a closed pipe shows here, not at exit
+        return code
     except FengRaoError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INPUT
+        return EXIT_CAP if isinstance(exc, SearchSpaceTooLarge) else EXIT_INPUT
+    except BrokenPipeError:
+        # the reader went away: send what is still buffered to devnull, so
+        # the flush at exit cannot fail again, and exit 1 without a
+        # traceback, as the recipe in Python's signal docs does
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return 1
 
 
 if __name__ == "__main__":

@@ -32,16 +32,14 @@ DEFAULT_SUBSET_CAP = 50_000_000
 class FengRaoResult:
     """Outcome of a distance or Feng-Rao-number computation."""
 
-    generators: tuple[int, ...]
     m: int
     r: int
     delta: int
     e_number: int
-    method: str
-    witness: Configuration | None
+    witness: Configuration
 
     def __post_init__(self) -> None:
-        assert self.witness is None or len(self.witness) == self.r
+        assert len(self.witness) == self.r
 
 
 def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:
@@ -104,12 +102,10 @@ def feng_rao_distances(
         delta, witness = best[r]
         results.append(
             FengRaoResult(
-                generators=sgp.minimal_generators,
                 m=m,
                 r=r,
                 delta=delta,
                 e_number=delta - (m + 1 - 2 * sgp.genus),
-                method="generic",
                 witness=witness,
             )
         )
@@ -191,11 +187,9 @@ def brute_force_distance(
                 stack.pop()
     elements = (m,) + tuple(m + 1 + i for i in witness)
     return FengRaoResult(
-        generators=sgp.minimal_generators,
         m=m,
         r=r,
         delta=best,
         e_number=best - (m + 1 - 2 * sgp.genus),
-        method="brute-force",
         witness=Configuration(base=m, elements=elements),
     )

@@ -19,11 +19,12 @@ i >= a vanish because a - i stays in (-b, 0] for i < a + b.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import isqrt
 
 from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, divisors_above
 from .errors import InvalidInput, InvalidParams, NoOrderedAmenable, NotAmenable
-from .semigroup import NumericalSemigroup, from_generators
+from .semigroup import NumericalSemigroup, _check_element, from_generators
 
 
 def _ceildiv(p: int, q: int) -> int:
@@ -84,35 +85,25 @@ def _ceil_sum0(x: int, y: int, b: int) -> int:
 class HDecomposition:
     """The unique (h, k, j) with r = h + b*h*(h-1)/2 + k*h + j."""
 
-    r: int
     h: int
     k: int
     j: int
 
 
 def h_decompose(r: int, b: int) -> HDecomposition:
-    """Split r against the block sizes h + b*h*(h-1)/2.
+    """Split r against the block starts h + b*h*(h-1)/2.
 
-    h is found by stepping through blocks (r is desk scale, exactness
-    beats root finding); the remainder s in [0, h*b] splits as k*h + j
-    with 0 < j <= h, where s = 0 is encoded as k = -1, j = h.
+    h is the last block whose start is <= r: the floored positive root
+    of b*h^2 + (2-b)*h - 2r, which isqrt gives exactly for every integer
+    input.  The remainder s in [0, h*b] splits as k*h + j with
+    0 < j <= h, where s = 0 comes out as k = -1, j = h.
     """
     if r < 1 or b < 1:
         raise InvalidParams(f"need r, b >= 1, got r={r}, b={b}")
-
-    def block_start(q: int) -> int:
-        return q + b * q * (q - 1) // 2
-
-    h = 1
-    while block_start(h + 1) <= r:
-        h += 1
-    s = r - block_start(h)
-    if s == 0:
-        k, j = -1, h
-    else:
-        k = (s + h - 1) // h - 1
-        j = s - k * h
-    return HDecomposition(r=r, h=h, k=k, j=j)
+    h = (b - 2 + isqrt((b - 2) ** 2 + 8 * b * r)) // (2 * b)
+    s = r - h - b * h * (h - 1) // 2
+    k = (s - 1) // h
+    return HDecomposition(h=h, k=k, j=s - k * h)
 
 
 def ordered_shadow_size(a: int, b: int, r: int) -> int:
@@ -129,22 +120,14 @@ def ordered_shadow_size(a: int, b: int, r: int) -> int:
 def rho_equality_predicted(a: int, b: int, r: int) -> bool:
     """Predicted E(r, S) = rho_r cases.
 
-    True when either r lies in a run {b*sigma(p)+1, ..., b*sigma(p)+p+1}
-    with sigma(p) = p(p+1)/2, p >= 0, before the optimal shadow covers
-    every residue class mod a, or from the first r whose shadow does
-    cover them all (size >= a) onward.
+    True when the decomposition of r has k = -1 (r starts a block) or
+    k = b - 1 (r is one of the h values before the next block starts),
+    together the runs {b*sigma(p)+1, ..., b*sigma(p)+p+1} with
+    sigma(p) = p(p+1)/2, or from the first r whose optimal shadow covers
+    every residue class mod a (size >= a) onward.
     """
     _check_interval(a, b)
-    if ordered_shadow_size(a, b, r) >= a:
-        return True
-    p = 0
-    while True:
-        lo = b * p * (p + 1) // 2 + 1
-        if lo > r:
-            return False
-        if r <= lo + p:
-            return True
-        p += 1
+    return h_decompose(r, b).k in (-1, b - 1) or ordered_shadow_size(a, b, r) >= a
 
 
 def interval_feng_rao_number(a: int, b: int, r: int) -> int:
@@ -154,11 +137,7 @@ def interval_feng_rao_number(a: int, b: int, r: int) -> int:
     interval of size b(h-1) + k + 2; the sum is capped at a + b - 1 once
     that would reach the whole ground.
     """
-    _check_interval(a, b)
-    dec = h_decompose(r, b)
-    width = b * (dec.h - 1) + dec.k + 1
-    if width + 1 >= a + b:
-        width = a + b - 1
+    width = min(ordered_shadow_size(a, b, r) - 1, a + b - 1)
     return r - 1 + _ceil_sum0(width, a, b)
 
 
@@ -210,6 +189,7 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
         raise InvalidParams(f"need q >= 0 and 0 <= j < a, got q={q}, j={j}")
     sgp = interval_semigroup(a, b)
     check_base(sgp, m)
+    _check_element(m + q * a + j)  # the result lies inside D(m + qa + j)
 
     found: list[int] = []
     for v in range(0, a - j):

@@ -1,16 +1,18 @@
-"""Full sweep of the brute-force oracle against the two other methods.
+"""Full sweeps of the interval decomposition and of the brute-force oracle.
 
 Not collected by pytest (the name does not start with ``test_``).  Run it
 from the repository root:
 
     PYTHONPATH=src python tests/sweep_oracle.py [--amax 30] [--rmax 16]
 
-Part one compares ``brute_force_distance`` at m = 2c - 1 with the
-interval closed form at every point of b < a <= amax, r <= rmax.  Part
-two compares it with the generic search on the test corpus, for r <= 8
-at the bases 2c - 1, ..., 2c + 5.  Each part prints its range, point
-count, mismatches and wall time; the exit code is 1 on any mismatch.
-No subset cap applies: the sweep wants every point answered.
+Part one compares the isqrt ``h_decompose`` with the block walk of
+``interval_reference.py`` at every b <= 20, r <= 30,000.  Part two
+compares ``brute_force_distance`` at m = 2c - 1 with the interval closed
+form at every point of b < a <= amax, r <= rmax.  Part three compares it
+with the generic search on the test corpus, for r <= 8 at the bases
+2c - 1, ..., 2c + 5.  Each part prints its range, point count,
+mismatches and wall time; the exit code is 1 on any mismatch.  No subset
+cap applies: the sweep wants every point answered.
 """
 
 from __future__ import annotations
@@ -20,19 +22,35 @@ import sys
 import time
 
 from corpus import CORPUS  # tests/, the script's directory, is on sys.path
+from interval_reference import block_walk_decompose
 
 from fengrao import (
     brute_force_distance,
     feng_rao_distances,
     from_generators,
+    h_decompose,
     interval_feng_rao_number,
     interval_semigroup,
     smallest_asymptotic_base,
 )
 
 NO_CAP = float("inf")
+DECOMPOSE_BMAX = 20
+DECOMPOSE_RMAX = 30_000
 CORPUS_RMAX = 8
 CORPUS_OFFSETS = range(7)
+
+
+def sweep_decomposition() -> tuple[int, list[tuple]]:
+    points, mismatches = 0, []
+    for b in range(1, DECOMPOSE_BMAX + 1):
+        for r in range(1, DECOMPOSE_RMAX + 1):
+            points += 1
+            d = h_decompose(r, b)
+            walked = block_walk_decompose(r, b)
+            if (d.h, d.k, d.j) != walked:
+                mismatches.append((b, r, (d.h, d.k, d.j), walked))
+    return points, mismatches
 
 
 def sweep_closed_form(amax: int, rmax: int) -> tuple[int, list[tuple]]:
@@ -78,6 +96,10 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
 
     t0 = time.perf_counter()
+    points, decomposed = sweep_decomposition()
+    report(f"isqrt vs block walk decomposition, b <= {DECOMPOSE_BMAX}, "
+           f"r <= {DECOMPOSE_RMAX}", points, decomposed, time.perf_counter() - t0)
+    t0 = time.perf_counter()
     points, closed = sweep_closed_form(args.amax, args.rmax)
     report(f"brute vs closed form, b < a <= {args.amax}, r <= {args.rmax}, m = 2c-1",
            points, closed, time.perf_counter() - t0)
@@ -85,7 +107,7 @@ def main(argv: list[str] | None = None) -> int:
     points, generic = sweep_generic()
     report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX}, "
            f"m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}", points, generic, time.perf_counter() - t0)
-    return 1 if closed or generic else 0
+    return 1 if decomposed or closed or generic else 0
 
 
 if __name__ == "__main__":

@@ -12,6 +12,8 @@ import pytest
 import fengrao.cli as cli
 import fengrao.semigroup as semigroup
 from fengrao import (
+    FengRaoError,
+    SearchSpaceTooLarge,
     enumerate_amenable,
     from_generators,
     interval_feng_rao_number,
@@ -493,18 +495,67 @@ def test_out_that_cannot_be_opened_exits_2(command, tmp_path, capsys):
     assert not (tmp_path / "missing").exists()
 
 
-def test_console_entry_point():
-    # the package from this checkout, installed or not
+@pytest.mark.skipif(not os.path.exists("/dev/full"), reason="needs /dev/full")
+@pytest.mark.parametrize("command", [
+    ["divisors", "--gens", "4,5", "--x", "30"],  # fails as the file closes
+    ["grid", "--amax", "40", "--bmax", "39", "--rmax", "12"],  # fails mid-stream
+], ids=lambda argv: argv[0])
+def test_out_that_cannot_be_written_exits_2(command, capfd):
+    assert cli.main(command + ["--out", "/dev/full"]) == 2
+    out, err = capfd.readouterr()
+    assert out == ""
+    assert err == "error: cannot write --out '/dev/full': No space left on device\n"
+
+
+@pytest.mark.parametrize("error", [FengRaoError, *FengRaoError.__subclasses__()],
+                         ids=lambda cls: cls.__name__)
+def test_every_package_error_takes_the_one_error_path(error, monkeypatch, capfd):
+    def fail(*args, **kwargs):
+        raise error("the message")
+
+    monkeypatch.setattr(cli, "divisors", fail)
+    code = cli.main(["divisors", "--gens", "4,5", "--x", "9"])
+    assert code == (4 if error is SearchSpaceTooLarge else 2)
+    assert capfd.readouterr() == ("", "error: the message\n")
+
+
+def checkout_env():
+    """The environment with this checkout's package first on the path."""
     src = str(Path(__file__).resolve().parent.parent / "src")
     path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
+    return {**os.environ, "PYTHONPATH": path}
+
+
+def test_console_entry_point():
+    # the package from this checkout, installed or not
     proc = subprocess.run(
         [sys.executable, "-m", "fengrao.cli", "divisors", "--gens", "4,5", "--x", "9"],
         capture_output=True,
         text=True,
-        env={**os.environ, "PYTHONPATH": path},
+        env=checkout_env(),
     )
     assert proc.returncode == 0
     assert proc.stdout.splitlines()[1:] == ["0", "4", "5", "9"]
+
+
+def test_closed_pipe_exits_1_quietly():
+    # like `fengrao grid ... | head -1`: millions of rows, the reader takes one
+    proc = subprocess.Popen(
+        [sys.executable, "-m", "fengrao.cli", "grid", "--amax", "200", "--bmax", "199",
+         "--rmax", "50"],
+        stdout=subprocess.PIPE,
+        stderr=subprocess.PIPE,
+        env=checkout_env(),
+    )
+    assert proc.stdout.readline() == b"a,b,r,e,rho,rho_case\n"
+    proc.stdout.close()
+    try:
+        err = proc.stderr.read()
+        assert proc.wait(timeout=60) == 1
+    finally:
+        proc.kill()
+        proc.stderr.close()
+    assert err == b""
 
 
 def test_deterministic_output(capsys):

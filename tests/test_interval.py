@@ -1,9 +1,12 @@
 import random
+import time
+import tracemalloc
 
 import pytest
 
 from fengrao import (
     Configuration,
+    InvalidInput,
     InvalidParams,
     NoOrderedAmenable,
     NotAmenable,
@@ -31,6 +34,11 @@ from fengrao import (
     wagon_pivot,
 )
 from fengrao.interval import _ceildiv
+from interval_reference import (
+    block_walk_decompose,
+    block_walk_feng_rao_number,
+    run_walk_rho_equality_predicted,
+)
 
 PAIRS = [(4, 1), (5, 2), (7, 3), (9, 4)]
 
@@ -128,6 +136,45 @@ def test_h_decompose_invariants(b):
         assert lo <= r < hi
 
 
+def test_h_decompose_equals_the_block_walk():
+    for b in range(1, 13):
+        for r in range(1, 3001):
+            d = h_decompose(r, b)
+            assert (d.h, d.k, d.j) == block_walk_decompose(r, b), (r, b)
+
+
+def test_closed_forms_equal_the_block_walk():
+    for a in range(2, 40):
+        for b in range(1, a):
+            for r in range(1, 300):
+                assert rho_equality_predicted(a, b, r) == run_walk_rho_equality_predicted(a, b, r), (a, b, r)
+                assert interval_feng_rao_number(a, b, r) == block_walk_feng_rao_number(a, b, r), (a, b, r)
+
+
+@pytest.mark.parametrize("b", [1, 2, 7, 40])
+def test_h_decompose_is_exact_at_huge_block_edges(b):
+    # isqrt leaves no rounding slack, even at r = 10^100 and next to a block start
+    for q in (10**30, 10**45 + 7):
+        start = q + b * q * (q - 1) // 2
+        for r in (start - 1, start, start + 1, 10**100):
+            d = h_decompose(r, b)
+            assert r == d.h + b * d.h * (d.h - 1) // 2 + d.k * d.h + d.j
+            assert -1 <= d.k <= b - 1 and 0 < d.j <= d.h
+            assert d.k > -1 or d.j == d.h
+        assert h_decompose(start, b).h == q and h_decompose(start - 1, b).h == q - 1
+
+
+def test_closed_forms_take_constant_time_in_r():
+    r = 10**100
+    t0 = time.perf_counter()
+    e = interval_feng_rao_number(5, 2, r)
+    predicted = rho_equality_predicted(5, 2, r)
+    assert time.perf_counter() - t0 < 0.01
+    # the shadow fills the ground of width a + b = 7 long before r = 10^100
+    assert e == r - 1 + ceil_sum(6, 5, 2)
+    assert predicted
+
+
 # ------------------------------------------------- closed-form E(r, S)
 
 
@@ -222,6 +269,19 @@ def test_interval_minimality_spot():
 
 def test_extra_divisors_empty_case():
     assert interval_extra_divisors(9, 4, base_for(9, 4), 0, 0).elements == ()
+
+
+def test_extra_divisors_element_guard_refuses_before_allocating():
+    # D(m + qa + j) holds the result, so it answers to the divisors guard;
+    # unguarded, this call built about a*q ints (286 MB)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="guard"):
+            interval_extra_divisors(5, 2, 19, 10**6, 1)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 @pytest.mark.parametrize("a,b", [(9, 4), (5, 2)])
@@ -397,10 +457,12 @@ def test_ordered_shadows_coincide():
 # ---------------------------------------------------- rho-equality cases
 
 
-def test_rho_equality_prediction_spot():
-    # acceptance criterion 11 checks the advertised pairs exhaustively
-    s = interval_semigroup(5, 2)
-    for r in range(1, 17):
-        predicted = rho_equality_predicted(5, 2, r)
-        actual = interval_feng_rao_number(5, 2, r) == s.rho(r)
-        assert predicted == actual, r
+def test_rho_equality_prediction_matches_its_definition():
+    # every b < a <= 40, r <= 40 (31,200 points); acceptance criterion 11
+    # checks the advertised pairs against the generic search
+    for a in range(2, 41):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            for r in range(1, 41):
+                actual = interval_feng_rao_number(a, b, r) == s.rho(r)
+                assert rho_equality_predicted(a, b, r) == actual, (a, b, r)
