@@ -17,18 +17,7 @@ from .distances import (
     feng_rao_number,
 )
 from .divisors import DivisorSet, divisors, divisors_above, divisors_of_set, nu
-from .errors import (
-    BaseTooSmall,
-    FengRaoError,
-    InvalidInput,
-    InvalidParams,
-    InvalidRange,
-    NoOrderedAmenable,
-    NotAmenable,
-    NotElement,
-    NotNumerical,
-    SearchSpaceTooLarge,
-)
+from .errors import FengRaoError, InvalidInput, SearchSpaceTooLarge
 from .interval import (
     as_interval,
     ceil_sum,
@@ -47,18 +36,11 @@ from .interval import (
 from .semigroup import NumericalSemigroup, from_generators
 
 __all__ = [
-    "BaseTooSmall",
     "Configuration",
     "DivisorSet",
     "FengRaoError",
     "FengRaoResult",
     "InvalidInput",
-    "InvalidParams",
-    "InvalidRange",
-    "NoOrderedAmenable",
-    "NotAmenable",
-    "NotElement",
-    "NotNumerical",
     "NumericalSemigroup",
     "SearchSpaceTooLarge",
     "as_interval",

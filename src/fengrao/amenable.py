@@ -35,7 +35,7 @@ from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Iterator
 
-from .errors import BaseTooSmall, InvalidInput
+from .errors import InvalidInput
 from .semigroup import NumericalSemigroup
 
 # Largest configuration size a search accepts.  Far above any size the
@@ -84,10 +84,10 @@ def smallest_asymptotic_base(sgp: NumericalSemigroup) -> int:
 
 
 def check_base(sgp: NumericalSemigroup, m: int) -> None:
-    """Raise BaseTooSmall for m < 2c-1, the one base rule of the package."""
+    """Raise InvalidInput for m < 2c-1, the one base rule of the package."""
     base = smallest_asymptotic_base(sgp)
     if m < base:
-        raise BaseTooSmall(
+        raise InvalidInput(
             f"base {m} is below max(2c-1, 0) = {base}; the identity "
             "delta(m) = m + 1 - 2g + E is only guaranteed from there on"
         )

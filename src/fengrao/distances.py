@@ -22,7 +22,7 @@ from .amenable import (
     smallest_asymptotic_base,
 )
 from .divisors import divisors
-from .errors import InvalidInput, NotElement, SearchSpaceTooLarge
+from .errors import InvalidInput, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup
 
 DEFAULT_SUBSET_CAP = 50_000_000
@@ -47,7 +47,7 @@ def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:
     if sizes and sizes.start < 1:
         raise InvalidInput(f"configuration size must be >= 1, got {sizes.start}")
     if not sgp.contains(m):
-        raise NotElement(f"{m} is not an element of the semigroup")
+        raise InvalidInput(f"{m} is not an element of the semigroup")
     check_base(sgp, m)
     return sizes
 
@@ -82,7 +82,9 @@ def feng_rao_distances(
     """
     sizes = _check_args(sgp, m, rs)
     upper = m + sgp.largest_generator
-    ground_masks = [_divisor_mask(sgp, x) for x in range(m, upper)]
+    # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
+    reach = min(upper, m + sgp.rho(sizes[-1]) + 1) if sizes else m
+    ground_masks = [_divisor_mask(sgp, x) for x in range(m, reach)]
 
     best: dict[int, tuple[int, Configuration]] = {}  # size -> (count, witness)
     for config in shadow_representatives(sgp, m, sizes):

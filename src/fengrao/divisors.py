@@ -16,16 +16,15 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from typing import Iterable, Iterator
 
-from .errors import InvalidRange, NotElement
+from .errors import InvalidInput
 from .semigroup import NumericalSemigroup, _check_element
 
 
 @dataclass(frozen=True)
 class DivisorSet:
-    """Sorted divisors together with the element(s) they divide."""
+    """Sorted divisors of one element or of a configuration."""
 
     elements: tuple[int, ...]
-    source: tuple[int, ...]
 
     def __len__(self) -> int:
         return len(self.elements)
@@ -47,7 +46,7 @@ def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
     plus the size of D(x).
     """
     if not sgp.contains(x):
-        raise NotElement(f"{x} is not an element of the semigroup")
+        raise InvalidInput(f"{x} is not an element of the semigroup")
     _check_element(x)
     c = sgp.conductor
     below = sgp.small_elements[:-1]  # the elements below c; the last one is c
@@ -56,18 +55,15 @@ def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
     divs.extend(t for t in below[k:] if t <= x and sgp.contains(x - t))
     divs.extend(range(c, x - c + 1))
     divs.extend([x - t for t in reversed(below[:k])])
-    return DivisorSet(elements=tuple(divs), source=(x,))
+    return DivisorSet(elements=tuple(divs))
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:
     """Union of the divisor sets of the given semigroup elements."""
-    source = tuple(sorted(set(elements)))
-    if not source:
-        return DivisorSet(elements=(), source=())
     union: set[int] = set()
-    for x in source:
+    for x in sorted(set(elements)):
         union.update(divisors(sgp, x).elements)
-    return DivisorSet(elements=tuple(sorted(union)), source=source)
+    return DivisorSet(elements=tuple(sorted(union)))
 
 
 def nu(sgp: NumericalSemigroup, elements: Iterable[int]) -> int:
@@ -82,10 +78,10 @@ def divisors_above(sgp: NumericalSemigroup, y: int, x: int) -> DivisorSet:
     >= x is automatically an element, so S_y is never enumerated.
     """
     if not sgp.contains(y):
-        raise NotElement(f"{y} is not an element of the semigroup")
+        raise InvalidInput(f"{y} is not an element of the semigroup")
     if not sgp.conductor <= x <= y:
-        raise InvalidRange(
+        raise InvalidInput(
             f"need conductor {sgp.conductor} <= x <= y, got x={x}, y={y}"
         )
     divs = tuple(y - s for s in reversed(sgp.elements_up_to(y - x)))
-    return DivisorSet(elements=divs, source=(y,))
+    return DivisorSet(elements=divs)

@@ -1,4 +1,9 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package.
+
+Every refused input raises InvalidInput, its message naming the broken
+precondition; a brute-force search over its subset cap raises
+SearchSpaceTooLarge.  Both subclass FengRaoError; the CLI exits 2 and 4.
+"""
 
 
 class FengRaoError(Exception):
@@ -6,35 +11,7 @@ class FengRaoError(Exception):
 
 
 class InvalidInput(FengRaoError):
-    """Malformed input (empty generator list, non-positive r, ...)."""
-
-
-class NotNumerical(FengRaoError):
-    """The generators do not define a numerical semigroup (gcd != 1)."""
-
-
-class NotElement(FengRaoError):
-    """A value required to be a semigroup element is not one."""
-
-
-class InvalidRange(FengRaoError):
-    """An interval precondition such as c <= x <= y does not hold."""
-
-
-class BaseTooSmall(FengRaoError):
-    """The base m is below 2c-1, where the machinery is not guaranteed."""
-
-
-class InvalidParams(FengRaoError):
-    """Interval-semigroup parameters out of range (need 0 < b < a, ...)."""
-
-
-class NotAmenable(FengRaoError):
-    """A configuration required to be amenable is not."""
-
-
-class NoOrderedAmenable(FengRaoError):
-    """No ordered amenable set of the requested size exists."""
+    """An input outside the preconditions of the function it was given to."""
 
 
 class SearchSpaceTooLarge(FengRaoError):

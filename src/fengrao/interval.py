@@ -23,7 +23,7 @@ from math import isqrt
 
 from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, divisors_above
-from .errors import InvalidInput, InvalidParams, NoOrderedAmenable, NotAmenable
+from .errors import InvalidInput
 from .semigroup import NumericalSemigroup, _check_element, from_generators
 
 
@@ -33,7 +33,7 @@ def _ceildiv(p: int, q: int) -> int:
 
 def _check_interval(a: int, b: int) -> None:
     if not 0 < b < a:
-        raise InvalidParams(f"need 0 < b < a, got a={a}, b={b}")
+        raise InvalidInput(f"need 0 < b < a, got a={a}, b={b}")
 
 
 def interval_semigroup(a: int, b: int) -> NumericalSemigroup:
@@ -68,7 +68,7 @@ def ceil_sum(x: int, y: int, b: int) -> int:
     below (r nonzero / zero).
     """
     if x < 1 or y < 1 or b < 1:
-        raise InvalidParams(f"need x, y, b >= 1, got x={x}, y={y}, b={b}")
+        raise InvalidInput(f"need x, y, b >= 1, got x={x}, y={y}, b={b}")
     c, r = divmod(y, b)
     k = (x - r) // b
     if r != 0:
@@ -99,7 +99,7 @@ def h_decompose(r: int, b: int) -> HDecomposition:
     0 < j <= h, where s = 0 comes out as k = -1, j = h.
     """
     if r < 1 or b < 1:
-        raise InvalidParams(f"need r, b >= 1, got r={r}, b={b}")
+        raise InvalidInput(f"need r, b >= 1, got r={r}, b={b}")
     h = (b - 2 + isqrt((b - 2) ** 2 + 8 * b * r)) // (2 * b)
     s = r - h - b * h * (h - 1) // 2
     k = (s - 1) // h
@@ -157,15 +157,15 @@ def interval_shadow_divisor_count(
     _check_interval(a, b)
     offs = tuple(offsets)
     if not offs or offs[0] != 0:
-        raise InvalidParams("offsets must be nonempty and start at 0")
+        raise InvalidInput("offsets must be nonempty and start at 0")
     if any(x >= y for x, y in zip(offs, offs[1:])) or offs[-1] >= a + b:
-        raise InvalidParams("offsets must increase strictly and stay below a+b")
+        raise InvalidInput("offsets must increase strictly and stay below a+b")
     sgp = interval_semigroup(a, b)
     check_base(sgp, m)
     if check:
         config = Configuration(base=m, elements=tuple(m + i for i in offs))
         if not is_amenable(sgp, config):
-            raise NotAmenable(f"offsets {offs} do not give an amenable set")
+            raise InvalidInput(f"offsets {offs} do not give an amenable set")
     total = m + 1 - 2 * sgp.genus
     for prev, cur in zip(offs, offs[1:]):
         d = cur - prev
@@ -186,7 +186,7 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     """
     _check_interval(a, b)
     if q < 0 or not 0 <= j <= a - 1:
-        raise InvalidParams(f"need q >= 0 and 0 <= j < a, got q={q}, j={j}")
+        raise InvalidInput(f"need q >= 0 and 0 <= j < a, got q={q}, j={j}")
     sgp = interval_semigroup(a, b)
     check_base(sgp, m)
     _check_element(m + q * a + j)  # the result lies inside D(m + qa + j)
@@ -198,7 +198,7 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     for v in range(a - j, a):
         for k in range(_ceildiv(v + j - (a + b), b) - q, _ceildiv(v, b)):
             found.append(m - (k * a + v))
-    return DivisorSet(elements=tuple(sorted(found)), source=(m, m + q * a + j))
+    return DivisorSet(elements=tuple(sorted(found)))
 
 
 def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
@@ -214,7 +214,7 @@ def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
     dec = h_decompose(r, b)
     edge = b * (dec.h - 1) + dec.k + 1
     if edge >= a + b - 1:
-        raise NoOrderedAmenable(
+        raise InvalidInput(
             f"r={r} needs shadow edge {edge} < a+b-1 = {a + b - 1}"
         )
     sgp = interval_semigroup(a, b)

@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 from math import gcd
 from typing import Iterable, Sequence
 
-from .errors import InvalidInput, NotNumerical
+from .errors import InvalidInput
 
 # Desk-scale guards, checked before anything is allocated: construction
 # builds a table of a_1 entries and tuples of gaps and small elements that
@@ -115,8 +115,8 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
 
     The generator list is minimalized (generators that are sums of other
     elements are dropped).  Raises InvalidInput for an empty or non-positive
-    list or one whose multiplicity or conductor bound exceeds the guards,
-    and NotNumerical when gcd(gens) != 1.
+    list, one with gcd != 1, or one whose multiplicity or conductor bound
+    exceeds the guards.
     """
     unique = sorted(set(gens))
     if not unique:
@@ -124,7 +124,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     if unique[0] < 1:
         raise InvalidInput(f"generators must be positive, got {unique[0]}")
     if gcd(*unique) != 1:
-        raise NotNumerical(f"gcd of generators is {gcd(*unique)}, not 1")
+        raise InvalidInput(f"gcd of generators is {gcd(*unique)}, not 1")
 
     mult = unique[0]
     if mult > _MAX_MULTIPLICITY:
@@ -142,6 +142,9 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
             f"conductor bound (a_1 - 1)(a_j - 1) = {schur} exceeds the guard "
             f"of {_MAX_CONDUCTOR_BOUND}"
         )
+    # every other generator is the least one of its residue class mod mult
+    # plus a multiple of mult, so the least ones alone generate S
+    unique = sorted({g % mult: g for g in reversed(unique)}.values())
     least = _least_in_residues(unique, mult)
     conductor = max(least) - mult + 1
     genus = sum(d // mult for d in least)

@@ -13,13 +13,19 @@ import fengrao.cli as cli
 import fengrao.semigroup as semigroup
 from fengrao import (
     FengRaoError,
+    InvalidInput,
     SearchSpaceTooLarge,
+    divisors,
+    divisors_above,
     enumerate_amenable,
     from_generators,
     interval_feng_rao_number,
     interval_semigroup,
+    interval_shadow_divisor_count,
+    ordered_amenable_set,
     rho_equality_predicted,
     shadow_representatives,
+    smallest_asymptotic_base,
 )
 
 # the package re-exports the function divisors under the module's name
@@ -517,6 +523,46 @@ def test_every_package_error_takes_the_one_error_path(error, monkeypatch, capfd)
     code = cli.main(["divisors", "--gens", "4,5", "--x", "9"])
     assert code == (4 if error is SearchSpaceTooLarge else 2)
     assert capfd.readouterr() == ("", "error: the message\n")
+
+
+# one library refusal per precondition of the paper, with its message
+PRECONDITION_REFUSALS = {
+    "gcd-not-1": (lambda: from_generators([4, 6]), "gcd of generators is 2, not 1"),
+    "not-an-element": (
+        lambda: divisors(from_generators([4, 5]), 7),
+        "7 is not an element of the semigroup",
+    ),
+    "x-outside-c-to-y": (
+        lambda: divisors_above(from_generators([9, 13, 15]), 60, 30),
+        "need conductor 48 <= x <= y, got x=30, y=60",
+    ),
+    "base-below-2c-1": (
+        lambda: list(enumerate_amenable(from_generators([4, 5]), 13, 2)),
+        "base 13 is below max(2c-1, 0) = 23; the identity "
+        "delta(m) = m + 1 - 2g + E is only guaranteed from there on",
+    ),
+    "b-outside-0-to-a": (lambda: interval_semigroup(4, 4), "need 0 < b < a, got a=4, b=4"),
+    "not-amenable": (
+        lambda: interval_shadow_divisor_count(
+            5, 2, smallest_asymptotic_base(interval_semigroup(5, 2)), [0, 6]
+        ),
+        "offsets (0, 6) do not give an amenable set",
+    ),
+    "no-ordered-amenable-set": (
+        lambda: ordered_amenable_set(4, 1, 100, 11),
+        "r=11 needs shadow edge 4 < a+b-1 = 4",
+    ),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(PRECONDITION_REFUSALS))
+def test_every_precondition_refusal_takes_the_one_error_path(refusal, monkeypatch, capfd):
+    call, message = PRECONDITION_REFUSALS[refusal]
+    with pytest.raises(InvalidInput):
+        call()
+    monkeypatch.setattr(cli, "divisors", lambda *args: call())
+    assert cli.main(["divisors", "--gens", "4,5", "--x", "9"]) == 2
+    assert capfd.readouterr() == ("", f"error: {message}\n")
 
 
 def checkout_env():

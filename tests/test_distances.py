@@ -4,13 +4,13 @@ from math import comb, gcd
 
 import pytest
 
+import fengrao.distances as distances
 from fengrao import (
-    BaseTooSmall,
     InvalidInput,
-    NotElement,
     SearchSpaceTooLarge,
     brute_force_distance,
     feng_rao_distance,
+    feng_rao_distances,
     feng_rao_number,
     from_generators,
     interval_feng_rao_number,
@@ -33,15 +33,35 @@ def test_r1_is_counting_law():
 
 
 def test_argument_validation():
-    with pytest.raises(NotElement):
+    with pytest.raises(InvalidInput, match="47 is not an element of the semigroup"):
         feng_rao_distance(from_generators([9, 13, 15]), 47, 2)
     s = from_generators([4, 5])
-    with pytest.raises(BaseTooSmall):
+    with pytest.raises(InvalidInput, match=r"base 13 is below max\(2c-1, 0\) = 23"):
         feng_rao_distance(s, 13, 2)
     with pytest.raises(InvalidInput):
         feng_rao_distance(s, 23, 0)
-    with pytest.raises(BaseTooSmall):
+    with pytest.raises(InvalidInput, match=r"base 13 is below max\(2c-1, 0\) = 23"):
         brute_force_distance(s, 13, 2)
+
+
+def test_generic_search_builds_only_the_masks_it_reads(monkeypatch):
+    # amenable sets have m_i <= m + rho_i, so of the 9,999 ground elements
+    # of <2, 9999> only m .. m + rho(3) can be read up to r = 3
+    s = from_generators([2, 9999])
+    m = smallest_asymptotic_base(s)
+    real_divisors = distances.divisors
+    calls = []
+
+    def counted(sgp, x):
+        calls.append(x)
+        assert len(calls) <= s.rho(3) + 1, f"divisor mask of {x} built"
+        return real_divisors(sgp, x)
+
+    monkeypatch.setattr(distances, "divisors", counted)
+    results = feng_rao_distances(s, m, range(1, 4))
+    monkeypatch.undo()
+    for res in results:
+        assert res.delta == brute_force_distance(s, m, res.r).delta, res.r
 
 
 def test_translation_identity():

@@ -6,8 +6,6 @@ import pytest
 import fengrao.semigroup as semigroup
 from fengrao import (
     InvalidInput,
-    InvalidRange,
-    NotElement,
     divisors,
     divisors_above,
     divisors_of_set,
@@ -42,7 +40,7 @@ def test_divisors_trivial_cases():
     s = from_generators([9, 13, 15])
     assert divisors(s, 0).elements == (0,)
     assert divisors(s, 9).elements == (0, 9)
-    with pytest.raises(NotElement):
+    with pytest.raises(InvalidInput, match="47 is not an element of the semigroup"):
         divisors(s, 47)
 
 
@@ -109,7 +107,6 @@ def test_divisor_set_contains_zero_and_sources():
         d = divisors_of_set(s, source)
         assert 0 in d
         assert all(x in d for x in source)
-        assert d.source == tuple(sorted(source))
 
 
 def test_nu_values():
@@ -143,11 +140,11 @@ def test_divisors_above_golden():
     s = from_generators([9, 13, 15])
     assert divisors_above(s, 60, 48).elements == (51, 60)
     assert divisors_above(s, 60, 60).elements == (60,)
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInput, match="need conductor 48 <= x <= y, got x=30, y=60"):
         divisors_above(s, 60, 30)  # 30 < conductor
-    with pytest.raises(InvalidRange):
+    with pytest.raises(InvalidInput, match="need conductor 48 <= x <= y, got x=61, y=60"):
         divisors_above(s, 60, 61)
-    with pytest.raises(NotElement):
+    with pytest.raises(InvalidInput, match="47 is not an element of the semigroup"):
         divisors_above(s, 47, 47)
 
 

@@ -7,9 +7,6 @@ import pytest
 from fengrao import (
     Configuration,
     InvalidInput,
-    InvalidParams,
-    NoOrderedAmenable,
-    NotAmenable,
     as_interval,
     ceil_sum,
     divisors,
@@ -59,9 +56,9 @@ def test_interval_contains_examples():
     assert interval_contains(9, 4, 0)
     assert not interval_contains(9, 4, 17)  # 17 = 9 + 8, 8 > 4
     assert not interval_contains(9, 4, -5)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="need 0 < b < a, got a=4, b=4"):
         interval_contains(4, 4, 10)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="need 0 < b < a, got a=4, b=0"):
         interval_contains(4, 0, 10)
 
 
@@ -83,7 +80,7 @@ def test_interval_conductor_and_genus_closed_forms():
 
 
 def test_interval_semigroup_type():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="need 0 < b < a, got a=4, b=4"):
         interval_semigroup(4, 4)
     assert as_interval(from_generators([5, 6, 7])) == (5, 2)
     assert as_interval(from_generators([4, 7])) is None
@@ -98,7 +95,7 @@ def test_ceil_sum_examples():
     for y in (3, 7, 12):
         for b in (1, 2, 5):
             assert ceil_sum(1, y, b) == _ceildiv(y - 1, b)
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="need x, y, b >= 1, got x=0, y=5, b=2"):
         ceil_sum(0, 5, 2)
 
 
@@ -183,7 +180,7 @@ def test_feng_rao_number_examples():
         assert interval_feng_rao_number(a, b, 1) == 0
     assert interval_feng_rao_number(4, 1, 2) == 4
     assert interval_feng_rao_number(5, 2, 3) == 6
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="need 0 < b < a, got a=4, b=4"):
         interval_feng_rao_number(4, 4, 2)
 
 
@@ -237,15 +234,15 @@ def test_shadow_count_matches_enumeration():
 
 def test_shadow_count_rejects_non_amenable():
     # {m, m+6} over <5,6,7>: 6 is a generator but m+6-5 = m+1 is missing
-    with pytest.raises(NotAmenable):
+    with pytest.raises(InvalidInput, match=r"offsets \(0, 6\) do not give an amenable set"):
         interval_shadow_divisor_count(5, 2, base_for(5, 2), [0, 6])
     assert interval_shadow_divisor_count(5, 2, base_for(5, 2), [0, 6], check=False) >= 0
 
 
 def test_shadow_count_validation():
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match="offsets must be nonempty and start at 0"):
         interval_shadow_divisor_count(5, 2, base_for(5, 2), [1, 2])
-    with pytest.raises(InvalidParams):
+    with pytest.raises(InvalidInput, match=r"offsets must increase strictly and stay below a\+b"):
         interval_shadow_divisor_count(5, 2, base_for(5, 2), [0, 7])
 
 
@@ -345,7 +342,7 @@ def test_ordered_sets_are_ordered_amenable_of_size_r():
 
 def test_ordered_set_rejects_filled_ground():
     # (4,1): h=4, k=0 pushes the shadow edge to a+b-1
-    with pytest.raises(NoOrderedAmenable):
+    with pytest.raises(InvalidInput, match=r"r=11 needs shadow edge 4 < a\+b-1 = 4"):
         ordered_amenable_set(4, 1, base_for(4, 1), 11)
 
 

@@ -1,6 +1,9 @@
+import ast
 import types
+from pathlib import Path
 
 import fengrao
+import fengrao.errors
 
 
 def test_all_lists_exactly_the_public_names():
@@ -12,3 +15,20 @@ def test_all_lists_exactly_the_public_names():
     }
     assert len(fengrao.__all__) == len(set(fengrao.__all__))
     assert set(fengrao.__all__) == bound
+
+
+def test_every_refusal_raises_invalid_input_or_search_space_too_large():
+    # one class per outcome the CLI tells apart (exit 2 and exit 4), no aliases
+    raised = set()
+    for path in sorted(Path(fengrao.__file__).parent.glob("*.py")):
+        for node in ast.walk(ast.parse(path.read_text(), str(path))):
+            if isinstance(node, ast.Raise):
+                exc = node.exc.func if isinstance(node.exc, ast.Call) else node.exc
+                raised.add(ast.unparse(exc) if exc else "bare raise")
+    assert raised == {"InvalidInput", "SearchSpaceTooLarge"}
+    classes = {
+        name
+        for name, value in vars(fengrao.errors).items()
+        if isinstance(value, type) and issubclass(value, BaseException)
+    }
+    assert classes == {"FengRaoError", "InvalidInput", "SearchSpaceTooLarge"}
