@@ -95,6 +95,7 @@ def check_base(sgp: NumericalSemigroup, m: int) -> None:
 
 def shadow(sgp: NumericalSemigroup, config: Configuration) -> Configuration:
     """Restriction of a configuration to its ground."""
+    check_base(sgp, config.base)
     upper = config.base + sgp.largest_generator
     return Configuration(
         base=config.base,

@@ -181,7 +181,7 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
             }
             fh.write(json.dumps(payload, indent=2) + "\n")
         elif args.format == "csv":
-            _write_table(({"divisor": d} for d in dset.elements), "csv", fh)
+            _write_table(({"divisor": d} for d in dset), "csv", fh)
         else:
             marks = {d: "*" for d in dset.elements}
             fh.write(_render_number_grid(sgp, 0, args.x, marks))

@@ -1,11 +1,12 @@
 """Generalized Feng-Rao distances and Feng-Rao numbers.
 
 The r-th Feng-Rao distance of S at m is the least number of divisors of
-an r-element configuration starting at or above m.  For m >= 2c-1 an
-optimal configuration can always be chosen amenable, the count only
-depends on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the
-r-th Feng-Rao number, so E is evaluated once at the smallest admissible
-base.  A no-theory branch-and-bound search over all r-subsets, pruned by
+an r-element configuration starting at or above m: an OR of the
+``DivisorSet.mask`` of each element, and its bit count.  For m >= 2c-1
+an optimal configuration can be chosen amenable, the count only depends
+on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
+Feng-Rao number, so E is evaluated once at the smallest admissible base.
+A no-theory branch-and-bound search over all r-subsets, pruned by
 divisor counts alone, serves as the independent oracle.
 """
 
@@ -52,21 +53,6 @@ def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:
     return sizes
 
 
-def _divisor_mask(sgp: NumericalSemigroup, x: int) -> int:
-    """D(x) as an int with bit d set for every divisor d.
-
-    Written out as a binary string, highest bit first, so the cost stays
-    linear in x; or-ing in 1 << d per divisor would be quadratic.  The
-    divisors come first, so an x above the element guard is refused
-    before the string is allocated.
-    """
-    divs = divisors(sgp, x).elements
-    bits = ["0"] * (x + 1)
-    for d in divs:
-        bits[x - d] = "1"
-    return int("".join(bits), 2)
-
-
 def feng_rao_distances(
     sgp: NumericalSemigroup, m: int, rs: range
 ) -> list[FengRaoResult]:
@@ -84,7 +70,7 @@ def feng_rao_distances(
     upper = m + sgp.largest_generator
     # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
     reach = min(upper, m + sgp.rho(sizes[-1]) + 1) if sizes else m
-    ground_masks = [_divisor_mask(sgp, x) for x in range(m, reach)]
+    ground_masks = [divisors(sgp, x).mask for x in range(m, reach)]
 
     best: dict[int, tuple[int, Configuration]] = {}  # size -> (count, witness)
     for config in shadow_representatives(sgp, m, sizes):
@@ -158,8 +144,8 @@ def brute_force_distance(
             f"{total} candidate subsets exceed the cap of {max_subsets}"
         )
 
-    base_mask = _divisor_mask(sgp, m)
-    masks = [_divisor_mask(sgp, x) for x in candidates]
+    base_mask = divisors(sgp, m).mask
+    masks = [divisors(sgp, x).mask for x in candidates]
     n = len(masks)
     witness: list[int] = []  # candidate indices of the best subset
     if r == 1:

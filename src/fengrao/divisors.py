@@ -1,69 +1,79 @@
 """Divisor sets D(x) and divisor counts of configurations.
 
 alpha in S divides x in S when x - alpha is again in S, so
-D(x) = S intersect (x - S).  Past the conductor c membership is free,
-so ``divisors`` tests only the elements below c and takes the block
-[c, x - c] whole; an x above the element guard of ``semigroup`` is
-refused before anything sized by x is built.  Divisor sets are kept as
-sorted tuples, so results are deterministic; ``divisors_of_set`` unions
-them as Python sets, and the distance searches in ``distances`` union
-them as int bitmasks.
+D(x) = S intersect (x - S).  A divisor set is one int with bit d set for
+each divisor d, and a union of divisor sets is an OR.  ``divisors``
+writes S intersect [0, x] once as binary digits, "1" at index s for each
+element s: read backwards they are the mask of S, forwards the mask of
+x - S, and D(x) is the AND of the two.  Each mask is built in time linear
+in its width, and an x above the element guard of ``semigroup`` is
+refused before anything sized by x is built.
 """
 
 from __future__ import annotations
 
 from bisect import bisect_right
 from dataclasses import dataclass
+from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput
 from .semigroup import NumericalSemigroup, _check_element
 
+_BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
+
 
 @dataclass(frozen=True)
 class DivisorSet:
-    """Sorted divisors of one element or of a configuration."""
+    """Divisors as the int ``mask`` with bit d set for each divisor d."""
 
-    elements: tuple[int, ...]
+    mask: int
+
+    @property
+    def elements(self) -> tuple[int, ...]:
+        return tuple(self)
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return self.mask.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
+        bits = bin(self.mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit d at d
+        return compress(range(len(bits)), bits)
 
     def __contains__(self, n: int) -> bool:
-        return n in self.elements
+        return n >= 0 and (self.mask >> n) & 1 == 1
+
+    def __repr__(self) -> str:  # a decimal mask fails past 4,300 digits
+        return f"DivisorSet(elements={self.elements})"
+
+
+def _element_digits(sgp: NumericalSemigroup, x: int) -> bytearray:
+    """S intersect [0, x] as ASCII binary digits, "1" at index s for s in S."""
+    digits = bytearray(b"0") * (x + 1)
+    digits[sgp.conductor :] = b"1" * (x + 1 - sgp.conductor)
+    for s in sgp.small_elements[: bisect_right(sgp.small_elements, x)]:
+        digits[s] = 49  # ord("1")
+    return digits
 
 
 def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
-    """D(x) = {s in S | x - s in S}, ascending, in three zones.
+    """D(x) = S intersect (x - S) as the AND of the masks of S and x - S.
 
-    Every s in [c, x - c] divides x, since both s and x - s are at least
-    c.  Below and above that block one of s and x - s is an element
-    t < c: an element t <= x - c divides x together with x - t, and any
-    other element below c is tested for x - t in S.  The work is O(c)
-    plus the size of D(x).
+    The work is O(c) Python steps plus O(x) machine work.
     """
     if not sgp.contains(x):
         raise InvalidInput(f"{x} is not an element of the semigroup")
     _check_element(x)
-    c = sgp.conductor
-    below = sgp.small_elements[:-1]  # the elements below c; the last one is c
-    k = bisect_right(below, x - c)
-    divs = list(below[:k])
-    divs.extend(t for t in below[k:] if t <= x and sgp.contains(x - t))
-    divs.extend(range(c, x - c + 1))
-    divs.extend([x - t for t in reversed(below[:k])])
-    return DivisorSet(elements=tuple(divs))
+    digits = _element_digits(sgp, x)
+    return DivisorSet(int(digits[::-1], 2) & int(digits, 2))
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:
     """Union of the divisor sets of the given semigroup elements."""
-    union: set[int] = set()
+    mask = 0
     for x in sorted(set(elements)):
-        union.update(divisors(sgp, x).elements)
-    return DivisorSet(elements=tuple(sorted(union)))
+        mask |= divisors(sgp, x).mask
+    return DivisorSet(mask)
 
 
 def nu(sgp: NumericalSemigroup, elements: Iterable[int]) -> int:
@@ -75,13 +85,15 @@ def divisors_above(sgp: NumericalSemigroup, y: int, x: int) -> DivisorSet:
     """D(y) cut to [x, infinity), computed as (y - S) cut to [x, infinity).
 
     Valid for c <= x <= y; in that range every difference y - s that is
-    >= x is automatically an element, so S_y is never enumerated.
+    >= x is automatically an element, so the mask is the digits of
+    S intersect [0, y - x] shifted left by x.  It is y bits wide, so y
+    answers to the element guard.
     """
     if not sgp.contains(y):
         raise InvalidInput(f"{y} is not an element of the semigroup")
+    _check_element(y)
     if not sgp.conductor <= x <= y:
         raise InvalidInput(
             f"need conductor {sgp.conductor} <= x <= y, got x={x}, y={y}"
         )
-    divs = tuple(y - s for s in reversed(sgp.elements_up_to(y - x)))
-    return DivisorSet(elements=divs)
+    return DivisorSet(int(_element_digits(sgp, y - x), 2) << x)

@@ -191,14 +191,14 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     check_base(sgp, m)
     _check_element(m + q * a + j)  # the result lies inside D(m + qa + j)
 
-    found: list[int] = []
+    digits = bytearray(b"0") * (m + q * a + j + 1)  # "1" at each new divisor
     for v in range(0, a - j):
         for k in range(_ceildiv(v + j, b) - q, _ceildiv(v, b)):
-            found.append(m - (k * a + v))
+            digits[m - (k * a + v)] = 49
     for v in range(a - j, a):
         for k in range(_ceildiv(v + j - (a + b), b) - q, _ceildiv(v, b)):
-            found.append(m - (k * a + v))
-    return DivisorSet(elements=tuple(sorted(found)))
+            digits[m - (k * a + v)] = 49
+    return DivisorSet(int(digits[::-1], 2))
 
 
 def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
@@ -220,7 +220,7 @@ def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
     sgp = interval_semigroup(a, b)
     check_base(sgp, m)
 
-    elements = set(divisors_above(sgp, m + (dec.h - 1) * (a + b), m).elements)
+    elements = set(divisors_above(sgp, m + (dec.h - 1) * (a + b), m))
     for v in range(b * (dec.h - 1) + 1, b * (dec.h - 1) + dec.k + 1):
         for u in range(dec.h):
             elements.add(m + u * a + v)

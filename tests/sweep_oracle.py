@@ -10,9 +10,13 @@ Part one compares the isqrt ``h_decompose`` with the block walk of
 compares ``brute_force_distance`` at m = 2c - 1 with the interval closed
 form at every point of b < a <= amax, r <= rmax.  Part three compares it
 with the generic search on the test corpus, for r <= 8 at the bases
-2c - 1, ..., 2c + 5.  Each part prints its range, point count,
-mismatches and wall time; the exit code is 1 on any mismatch.  No subset
-cap applies: the sweep wants every point answered.
+2c - 1, ..., 2c + 5.  Part four compares the bitmask ``divisors`` with
+the double loop {p <= x : p in S, x - p in S} at every element
+x <= 2c + 2n_e, and ``divisors_above(y, x)`` with D(y) cut to [x, inf)
+at every c <= x <= y in that range, for every <a..a+b> with
+b < a <= 20 and every corpus semigroup.  Each part prints its range,
+point count, mismatches and wall time; the exit code is 1 on any
+mismatch.  No subset cap applies: the sweep wants every point answered.
 """
 
 from __future__ import annotations
@@ -26,6 +30,8 @@ from interval_reference import block_walk_decompose
 
 from fengrao import (
     brute_force_distance,
+    divisors,
+    divisors_above,
     feng_rao_distances,
     from_generators,
     h_decompose,
@@ -39,6 +45,7 @@ DECOMPOSE_BMAX = 20
 DECOMPOSE_RMAX = 30_000
 CORPUS_RMAX = 8
 CORPUS_OFFSETS = range(7)
+DIVISORS_AMAX = 20
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -83,6 +90,30 @@ def sweep_generic() -> tuple[int, list[tuple]]:
     return points, mismatches
 
 
+def sweep_divisors() -> tuple[int, int, list[tuple]]:
+    semigroups = [from_generators(gens) for gens in CORPUS] + [
+        interval_semigroup(a, b)
+        for a in range(2, DIVISORS_AMAX + 1)
+        for b in range(1, a)
+    ]
+    points, cuts, mismatches = 0, 0, []
+    for s in semigroups:
+        for y in range(2 * s.conductor + 2 * s.largest_generator + 1):
+            if not s.contains(y):
+                continue
+            points += 1
+            d = divisors(s, y)
+            loop = [p for p in range(y + 1) if s.contains(p) and s.contains(y - p)]
+            if list(d) != loop:
+                mismatches.append((s.minimal_generators, y, d.elements, tuple(loop)))
+            for x in range(s.conductor, y + 1):
+                cuts += 1
+                above = divisors_above(s, y, x)
+                if above.mask != d.mask >> x << x:
+                    mismatches.append((s.minimal_generators, y, x, above.elements))
+    return points, cuts, mismatches
+
+
 def report(label: str, points: int, mismatches: list[tuple], seconds: float) -> None:
     print(f"{label}: {points} points, {len(mismatches)} mismatches, {seconds:.1f} s")
     for mismatch in mismatches:
@@ -107,7 +138,13 @@ def main(argv: list[str] | None = None) -> int:
     points, generic = sweep_generic()
     report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX}, "
            f"m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}", points, generic, time.perf_counter() - t0)
-    return 1 if decomposed or closed or generic else 0
+    t0 = time.perf_counter()
+    points, cuts, divs = sweep_divisors()
+    report(f"bitmask divisors vs double loop ({points} x) and divisors_above vs "
+           f"D(y) cut to [x, inf) ({cuts} pairs), x <= 2c + 2n_e, corpus and "
+           f"<a..a+b> with b < a <= {DIVISORS_AMAX}",
+           points + cuts, divs, time.perf_counter() - t0)
+    return 1 if decomposed or closed or generic or divs else 0
 
 
 if __name__ == "__main__":

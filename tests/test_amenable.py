@@ -335,6 +335,7 @@ BASE_RULE_CALLS = {
     "enumerate_amenable": lambda s, m: list(enumerate_amenable(s, m, 2)),
     "feng_rao_distance": lambda s, m: feng_rao_distance(s, m, 2),
     "brute_force_distance": lambda s, m: brute_force_distance(s, m, 2),
+    "shadow": lambda s, m: shadow(s, cfg(m, [m])),
 }
 INTERVAL_BASE_RULE_CALLS = {
     "interval_shadow_divisor_count": lambda a, b, m: interval_shadow_divisor_count(a, b, m, (0,)),

@@ -458,6 +458,19 @@ def test_amenable_listing_memory_stays_flat():
     assert peak < 4_000_000
 
 
+def test_divisors_csv_memory_stays_flat():
+    # 399,953 rows; a whole tuple of the divisors peaked near 20 MB
+    tracemalloc.start()
+    try:
+        code = cli.main(["divisors", "--gens", "9,13,15", "--x", "400000",
+                         "--format", "csv", "--out", os.devnull])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 4_000_000
+
+
 def test_ascii_formats_render(capsys):
     code, out = run_cli(
         capsys, "divisors", "--gens", "9,13,15", "--x", "60", "--format", "ascii"

@@ -9,6 +9,7 @@ from fengrao import (
     InvalidInput,
     SearchSpaceTooLarge,
     brute_force_distance,
+    divisors,
     feng_rao_distance,
     feng_rao_distances,
     feng_rao_number,
@@ -19,7 +20,6 @@ from fengrao import (
     nu,
     smallest_asymptotic_base,
 )
-from fengrao.distances import _divisor_mask
 
 from corpus import corpus_semigroups
 
@@ -160,8 +160,8 @@ def combinations_brute_force(sgp, m, r):
     pruning, the first minimal subset wins.
     """
     candidates = range(m + 1, m + sgp.rho(r) + 1)
-    base_mask = _divisor_mask(sgp, m)
-    mask_of = {x: _divisor_mask(sgp, x) for x in candidates}
+    base_mask = divisors(sgp, m).mask
+    mask_of = {x: divisors(sgp, x).mask for x in candidates}
     best = witness = None
     for combo in combinations(candidates, r - 1):
         union = base_mask

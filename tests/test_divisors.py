@@ -73,6 +73,24 @@ def test_element_guard_refuses_before_allocating():
     assert peak < 1_000_000
 
 
+def test_divisor_set_repr_lists_the_elements():
+    # a 20,001-bit mask has over 6,000 decimal digits, past CPython's limit
+    d = divisors(from_generators([9, 13, 15]), 20000)
+    assert repr(d) == f"DivisorSet(elements={d.elements})"
+    assert repr(d).startswith("DivisorSet(elements=(0, 9, 13, 15, 18, ")
+
+
+def test_divisor_set_length_and_membership_match_elements():
+    for s in corpus_semigroups(max_multiplicity=9):
+        for x in range(0, 2 * s.conductor + s.largest_generator, 7):
+            if not s.contains(x):
+                continue
+            d = divisors(s, x)
+            assert len(d) == len(d.elements)
+            for n in range(-3, x + 4):
+                assert (n in d) == (n in d.elements), (s.minimal_generators, x, n)
+
+
 def test_divisor_closure():
     # s in D(x) implies D(s) subset of D(x)
     s = from_generators([5, 7, 9])
@@ -146,6 +164,20 @@ def test_divisors_above_golden():
         divisors_above(s, 60, 61)
     with pytest.raises(InvalidInput, match="47 is not an element of the semigroup"):
         divisors_above(s, 47, 47)
+
+
+def test_divisors_above_element_guard_refuses_before_allocating():
+    # the mask is y bits wide; unguarded, y = 10^9 would write 10^9 digits
+    s = from_generators([4, 5])
+    tracemalloc.start()
+    try:
+        for y in (semigroup._MAX_ELEMENT + 1, 10**9):
+            with pytest.raises(InvalidInput, match="guard"):
+                divisors_above(s, y, y - 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
 
 
 def test_divisors_above_matches_filter():

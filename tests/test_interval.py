@@ -291,7 +291,14 @@ def test_extra_divisors_match_enumeration(a, b):
             got = interval_extra_divisors(a, b, m, q, j)
             expected = set(divisors_of_set(s, [m, m + q * a + j]).elements) - base
             assert set(got.elements) == expected, (q, j)
-            assert len(got.elements) == len(set(got.elements))
+            # the two families name one distinct divisor per (v, k) pair
+            pairs = sum(
+                len(range(_ceildiv(v + j, b) - q, _ceildiv(v, b))) for v in range(a - j)
+            ) + sum(
+                len(range(_ceildiv(v + j - (a + b), b) - q, _ceildiv(v, b)))
+                for v in range(a - j, a)
+            )
+            assert len(got) == pairs, (q, j)
 
 
 def test_extra_divisors_accumulate_like_consecutive_counts():
