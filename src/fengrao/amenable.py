@@ -151,16 +151,13 @@ def enumerate_amenable(
     """
     check_base(sgp, m)
     sizes = _size_range(r)
+    trusted = Configuration._trusted
+    if sizes and sizes.start == 0:
+        yield trusted(m, ())
+        sizes = sizes[1:]
     if not sizes:
         return
     lo, hi = sizes.start, sizes[-1]
-    trusted = Configuration._trusted
-    if lo == 0:
-        yield trusted(m, ())
-    if lo <= 1 <= hi:
-        yield trusted(m, (m,))
-    if hi <= 1:
-        return
 
     rho2 = sgp.multiplicity
     rho = [sgp.rho(i) for i in range(1, hi + 1)]  # rho[i-1] = rho_i
@@ -171,6 +168,7 @@ def enumerate_amenable(
 
     # slot d describes the prefix of d elements: the prefix itself, its
     # offset mask, the next candidate offset and the largest one allowed.
+    # Slot 0 is the empty prefix, whose one candidate is offset 0, m itself.
     # A prefix is yielded when its slot is pushed, before its extensions,
     # if its size is asked for; the sets of size hi are the leaves.
     last = hi - 1
@@ -179,9 +177,8 @@ def enumerate_amenable(
     masks = [0] * hi
     nexts = [0] * hi
     bounds = [0] * hi
-    prefixes[1], masks[1], nexts[1], bounds[1] = (m,), 1, 1, min(rho2, rho[1])
-    depth = 1
-    while depth:
+    depth = 0
+    while depth >= 0:
         mask = masks[depth]
         bound = bounds[depth]
         if depth == last:

@@ -4,8 +4,9 @@ A numerical semigroup S is a cofinite submonoid of the non-negative
 integers.  Everything downstream (divisor sets, amenable sets, Feng-Rao
 distances) queries membership heavily, so construction eagerly computes
 the least element of S in every residue class modulo the multiplicity;
-membership is then a single table lookup, and the conductor, genus, gaps
-and minimal generators are all read off that table.
+membership is then a single table lookup, and the conductor, genus,
+small elements and minimal generators are all read off that table; the
+gaps and the Frobenius number are derived from it when read.
 """
 
 from __future__ import annotations
@@ -19,9 +20,9 @@ from typing import Iterable, Sequence
 from .errors import InvalidInput
 
 # Desk-scale guards, checked before anything is allocated: construction
-# builds a table of a_1 entries and tuples of gaps and small elements that
-# together hold about c entries.  Schur's bound c <= (a_1 - 1)(a_j - 1),
-# with a_j the first generator at which the running gcd reaches 1, caps c.
+# builds a table of a_1 entries and a tuple of the small elements, at most
+# c + 1 entries.  Schur's bound c <= (a_1 - 1)(a_j - 1), with a_j the
+# first generator at which the running gcd reaches 1, caps c.
 _MAX_MULTIPLICITY = 1_000
 _MAX_CONDUCTOR_BOUND = 1_000_000
 # Largest x for which elements_up_to and divisors build a list of about x
@@ -66,9 +67,7 @@ class NumericalSemigroup:
     minimal_generators: tuple[int, ...]
     multiplicity: int
     conductor: int
-    frobenius: int
     genus: int
-    gaps: tuple[int, ...]
     small_elements: tuple[int, ...]
     # least element of S in each residue class mod multiplicity
     _least: tuple[int, ...] = field(repr=False)
@@ -109,6 +108,16 @@ class NumericalSemigroup:
     def largest_generator(self) -> int:
         return self.minimal_generators[-1]
 
+    @property
+    def frobenius(self) -> int:
+        """Largest gap, c - 1; -1 for S = N."""
+        return self.conductor - 1
+
+    @property
+    def gaps(self) -> tuple[int, ...]:
+        """The g gaps of S, ascending, built on each read."""
+        return tuple(n for n in range(self.conductor) if not self.contains(n))
+
 
 def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     """Construct the numerical semigroup generated by ``gens``.
@@ -148,7 +157,6 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     least = _least_in_residues(unique, mult)
     conductor = max(least) - mult + 1
     genus = sum(d // mult for d in least)
-    gaps = tuple(n for n in range(conductor) if n < least[n % mult])
     small = tuple(n for n in range(conductor + 1) if n >= least[n % mult])
     # g is a sum of two nonzero elements iff g - h is in S for a minimal
     # generator h inside the first summand; g - h below mult is a gap
@@ -162,9 +170,7 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         minimal_generators=tuple(minimal),
         multiplicity=mult,
         conductor=conductor,
-        frobenius=conductor - 1,
         genus=genus,
-        gaps=gaps,
         small_elements=small,
         _least=tuple(least),
     )

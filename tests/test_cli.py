@@ -228,6 +228,20 @@ def test_json_round_trip(capsys):
     assert list(records[0]) == ["r", "m", "delta", "e", "method", "elapsed_ms"]
 
 
+@pytest.mark.parametrize("method", ["auto", "generic", "interval", "brute", "all"])
+def test_number_and_distance_are_one_command(method, capfd):
+    # the two names share one parser and one command, with the same
+    # output and exit code on success and on refusal alike
+    for source in (["--interval", "5,2"], ["--gens", "4,6,7"]):
+        for r in ("1", "2..4"):
+            argv = [*source, "--r", r, "--method", method, "--no-timing"]
+            results = []
+            for command in ("number", "distance"):
+                code = cli.main([command, *argv])
+                results.append((code, *capfd.readouterr()))
+            assert results[0] == results[1], argv
+
+
 RANGE_CASES = [
     ("number", "--interval", "5,2"),
     ("number", "--gens", "4,6,7"),
@@ -439,7 +453,11 @@ def test_amenable_streams_the_whole_listing_rendering(fmt, tmp_path, capsys):
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
 def test_write_table_matches_whole_table_rendering(fmt):
-    for rows in ([], [{"a": 1, "b": "x y"}], [{"a": 1, "b": "-"}, {"a": 22, "b": "z"}]):
+    # the row templates must never parse a cell's text, and a table longer
+    # than two chunks must join its chunks without a seam
+    chunked = [{"a": i, "b": "x" * (i % 7)} for i in range(2 * cli._CHUNK + 1)]
+    for rows in ([], [{"a": 1, "b": "x y"}], [{"a": 1, "b": "-"}, {"a": 22, "b": "z"}],
+                 [{"a": "%", "b": "%(a)s"}, {"a": "%s%%", "b": "%(b)5s"}], chunked):
         written = io.StringIO()
         cli._write_table(iter(rows), fmt, written)
         assert written.getvalue() == render_table(rows, fmt)
