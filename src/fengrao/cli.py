@@ -1,9 +1,10 @@
 """Command-line interface.
 
 Subcommands: divisors, distance and its alias number, grid, amenable.
-Tables are emitted as CSV (default), JSON (array of flat objects, fixed
-key order) or aligned ASCII by one writer, a few hundred rows per write;
-the divisors and amenable commands can also render a planified grid
+Every output is written as it is produced, divisors straight from the
+mask.  Tables are CSV (default), JSON (array of flat objects, fixed key
+order) or aligned ASCII from one writer, a few hundred rows per write;
+divisors and amenable also render a planified grid, a line per write
 (columns are residues mod the multiplicity).  Exit codes:
 0 ok, 1 stdout closed by its reader, 2 input error (also an --out file
 that cannot be opened or written, and a grid --amax or --rmax above the
@@ -19,7 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from typing import Callable, Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
     _size_range,
@@ -111,6 +112,15 @@ def _output(out_path: str | None) -> Iterator[TextIO]:
         raise InvalidInput(f"cannot {action} --out {out_path!r}: {exc.strerror}")
 
 
+def _write_json_array(items: Iterator[str], indent: str, fh: TextIO, tail: str) -> None:
+    """JSON texts as json.dumps(indent=2) lays out a list ``indent`` deep, then tail."""
+    lead, end = "[\n" + indent, "[]"
+    for chunk in iter(lambda: list(islice(items, _CHUNK)), []):
+        fh.write(lead + (",\n" + indent).join(chunk))
+        lead, end = ",\n" + indent, "\n" + indent[2:] + "]"
+    fh.write(end + tail)
+
+
 def _write_table(
     rows: Iterable[dict], fmt: str, fh: TextIO, widest: Iterable[dict] | None = None
 ) -> None:
@@ -123,22 +133,17 @@ def _write_table(
     rows, then held whole) and strips trailing blanks from each line; no
     cell holds a newline.  json has the layout of json.dumps(rows, indent=2).
     """
+    if fmt == "json":
+        texts = (json.dumps(row, indent=2).replace("\n", "\n  ") for row in rows)
+        return _write_json_array(texts, "  ", fh, "\n")
     if fmt == "ascii" and widest is None:
         rows = widest = list(rows)
     rows = iter(rows)
     first = next(rows, None)
     if first is None:
-        fh.write("[]\n" if fmt == "json" else "\n")
+        fh.write("\n")
         return
     chunks = chain([[first]], iter(lambda: list(islice(rows, _CHUNK)), []))
-    if fmt == "json":
-        lead = "[\n  "
-        for chunk in chunks:
-            items = (json.dumps(row, indent=2).replace("\n", "\n  ") for row in chunk)
-            fh.write(lead + ",\n  ".join(items))
-            lead = ",\n  "
-        fh.write("\n]\n")
-        return
     keys = list(first)
     if fmt == "csv":
         header, line = ",".join(keys), ",".join(["%s"] * len(keys))
@@ -158,16 +163,15 @@ def _write_table(
 
 
 def _render_number_grid(
-    sgp: NumericalSemigroup, lo: int, hi: int, marks: dict[int, str]
-) -> str:
-    """Planified helix: one row per multiple of the multiplicity.
+    sgp: NumericalSemigroup, lo: int, hi: int, mark: Callable[[int], str | None]
+) -> Iterator[str]:
+    """Planified helix, line by line: one row per multiple of the multiplicity.
 
-    Each cell is the integer prefixed by its marker; gaps of S print in
-    parentheses.
+    Each cell of S is the integer prefixed by its one-character marker
+    ``mark(n)``, a blank where that is None; gaps of S print in parentheses.
     """
     a = sgp.multiplicity
     width = len(str(hi)) + 2
-    lines = []
     for row_start in range((hi // a) * a, (lo // a) * a - 1, -a):
         cells = []
         for n in range(row_start, row_start + a):
@@ -176,9 +180,8 @@ def _render_number_grid(
             elif not sgp.contains(n):
                 cells.append(f"({n})".rjust(width + 1))
             else:
-                cells.append(marks.get(n, " ") + str(n).rjust(width))
-        lines.append("".join(cells).rstrip())
-    return "\n".join(lines) + "\n"
+                cells.append((mark(n) or " ") + str(n).rjust(width))
+        yield "".join(cells).rstrip() + "\n"
 
 
 # ------------------------------------------------------------- commands
@@ -189,18 +192,15 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
     dset = divisors(sgp, args.x)
     with _output(args.out) as fh:
         if args.format == "json":
-            payload = {
-                "generators": list(sgp.minimal_generators),
-                "x": args.x,
-                "count": len(dset),
-                "divisors": list(dset.elements),
-            }
-            fh.write(json.dumps(payload, indent=2) + "\n")
+            # the bytes of json.dumps(payload, indent=2), "divisors" its last key
+            head = dict(generators=list(sgp.minimal_generators), x=args.x, count=len(dset))
+            fh.write(json.dumps(head, indent=2).removesuffix("\n}") + ',\n  "divisors": ')
+            _write_json_array(map(str, dset), "    ", fh, "\n}\n")
         elif args.format == "csv":
             _write_table(({"divisor": d} for d in dset), "csv", fh)
         else:
-            marks = {d: "*" for d in dset.elements}
-            fh.write(_render_number_grid(sgp, 0, args.x, marks))
+            marks = bin(dset.mask)[:1:-1].replace("0", " ").replace("1", "*")  # d at d
+            fh.writelines(_render_number_grid(sgp, 0, args.x, marks.__getitem__))
             fh.write(f"{len(dset)} divisors of {args.x} (marked *)\n")
     return EXIT_OK
 
@@ -310,7 +310,7 @@ def _cmd_amenable(args: argparse.Namespace) -> int:
                 marks = {x: "#" if x < m + width else "+" for x in config.elements}
                 fh.write("\n" if i else "")
                 fh.write(f"[{i}] " + " ".join(str(x) for x in config.elements) + "\n")
-                fh.write(_render_number_grid(sgp, m, max(config.elements), marks))
+                fh.writelines(_render_number_grid(sgp, m, max(config.elements), marks.get))
         else:
             rows = (
                 {

@@ -22,7 +22,7 @@ from .amenable import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .divisors import divisors
+from .divisors import _divisor_masks, divisors
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup
 
@@ -67,10 +67,11 @@ def feng_rao_distances(
     would give.
     """
     sizes = _check_args(sgp, m, rs)
+    if not sizes:
+        return []
     upper = m + sgp.largest_generator
     # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
-    reach = min(upper, m + sgp.rho(sizes[-1]) + 1) if sizes else m
-    ground_masks = [divisors(sgp, x).mask for x in range(m, reach)]
+    ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(sizes[-1]) + 1))
 
     best: dict[int, tuple[int, Configuration]] = {}  # size -> (count, witness)
     for config in shadow_representatives(sgp, m, sizes):

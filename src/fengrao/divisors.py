@@ -2,12 +2,14 @@
 
 alpha in S divides x in S when x - alpha is again in S, so
 D(x) = S intersect (x - S).  A divisor set is one int with bit d set for
-each divisor d, and a union of divisor sets is an OR.  ``divisors``
-writes S intersect [0, x] once as binary digits, "1" at index s for each
-element s: read backwards they are the mask of S, forwards the mask of
-x - S, and D(x) is the AND of the two.  Each mask is built in time linear
-in its width, and an x above the element guard of ``semigroup`` is
-refused before anything sized by x is built.
+each divisor d, and a union of divisor sets is an OR.  D(x) has one
+construction, for a window of consecutive x at once, of which ``divisors``
+is the one-element case: S intersect [0, x] is written once as binary
+digits, "1" at index s for each element s.  Read backwards they are the
+mask of S, forwards the mask of x - S, and D(x) is the AND of the two;
+the next x shifts the mask of x - S left by one.  Each mask is built in
+time linear in its width, and an x above the element guard of
+``semigroup`` is refused before anything sized by x is built.
 """
 
 from __future__ import annotations
@@ -56,16 +58,30 @@ def _element_digits(sgp: NumericalSemigroup, x: int) -> bytearray:
     return digits
 
 
-def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
-    """D(x) = S intersect (x - S) as the AND of the masks of S and x - S.
+def _divisor_masks(sgp: NumericalSemigroup, lo: int, hi: int) -> list[int]:
+    """The masks of D(x) for every x in the nonempty range(lo, hi), 0 off S.
 
-    The work is O(c) Python steps plus O(x) machine work.
+    The digits of S intersect [0, hi - 1] are written once.  The mask of
+    x - S is that of x - 1 - S shifted left once, with bit 0 set when x is
+    in S, and each D(x) is its AND with the mask of S.  The work is O(c)
+    Python steps plus O(hi) machine work per x.
     """
+    _check_element(hi - 1)
+    digits = _element_digits(sgp, hi - 1)
+    elements = int(digits[::-1], 2)
+    rev = int(digits, 2) >> (hi - 1 - lo)  # the mask of lo - S
+    masks = [elements & rev]
+    for x in range(lo + 1, hi):
+        rev = rev << 1 | digits[x] - 48  # digits[x] is ord("0") or ord("1")
+        masks.append(elements & rev)
+    return masks
+
+
+def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
+    """D(x) = S intersect (x - S): the window of _divisor_masks at x alone."""
     if not sgp.contains(x):
         raise InvalidInput(f"{x} is not an element of the semigroup")
-    _check_element(x)
-    digits = _element_digits(sgp, x)
-    return DivisorSet(int(digits[::-1], 2) & int(digits, 2))
+    return DivisorSet(_divisor_masks(sgp, x, x + 1)[0])
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:

@@ -118,16 +118,16 @@ def ordered_shadow_size(a: int, b: int, r: int) -> int:
 
 
 def rho_equality_predicted(a: int, b: int, r: int) -> bool:
-    """Predicted E(r, S) = rho_r cases.
+    """Predicted E(r, S) = rho_r cases, read off the ordered shadow size s.
 
-    True when the decomposition of r has k = -1 (r starts a block) or
-    k = b - 1 (r is one of the h values before the next block starts),
-    together the runs {b*sigma(p)+1, ..., b*sigma(p)+p+1} with
-    sigma(p) = p(p+1)/2, or from the first r whose optimal shadow covers
-    every residue class mod a (size >= a) onward.
+    True when r has k = -1 (r starts a block) or k = b - 1 (one of the h
+    values before the next block), the runs {b*sigma(p)+1, ...,
+    b*sigma(p)+p+1} with sigma(p) = p(p+1)/2: as s = b(h-1) + k + 2 and
+    0 <= k + 1 <= b, those are the r with s = 1 mod b.  Also true from the
+    first r whose shadow covers every residue mod a (s >= a) onward.
     """
-    _check_interval(a, b)
-    return h_decompose(r, b).k in (-1, b - 1) or ordered_shadow_size(a, b, r) >= a
+    s = ordered_shadow_size(a, b, r)
+    return (s - 1) % b == 0 or s >= a
 
 
 def interval_feng_rao_number(a: int, b: int, r: int) -> int:

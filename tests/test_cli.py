@@ -27,6 +27,7 @@ from fengrao import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
+from corpus import corpus_semigroups
 
 # the package re-exports the function divisors under the module's name
 divisors_module = importlib.import_module("fengrao.divisors")
@@ -421,6 +422,24 @@ def render_table(rows, fmt):
     return "\n".join(lines) + "\n"
 
 
+def render_number_grid(sgp, lo, hi, marks):
+    """The whole planified grid as one string, marks a dict n -> marker."""
+    a = sgp.multiplicity
+    width = len(str(hi)) + 2
+    lines = []
+    for row_start in range((hi // a) * a, (lo // a) * a - 1, -a):
+        cells = []
+        for n in range(row_start, row_start + a):
+            if n < lo or n > hi:
+                cells.append(" " * (width + 1))
+            elif not sgp.contains(n):
+                cells.append(f"({n})".rjust(width + 1))
+            else:
+                cells.append(marks.get(n, " ") + str(n).rjust(width))
+        lines.append("".join(cells).rstrip())
+    return "\n".join(lines) + "\n"
+
+
 def old_amenable_rendering(sgp, m, configs, fmt):
     """What the amenable command printed when it rendered the whole listing."""
     if fmt == "ascii":
@@ -428,7 +447,7 @@ def old_amenable_rendering(sgp, m, configs, fmt):
         for i, config in enumerate(configs):
             marks = {x: "#" if x < m + sgp.largest_generator else "+" for x in config.elements}
             out.append(f"[{i}] " + " ".join(str(x) for x in config.elements))
-            out.append(cli._render_number_grid(sgp, m, max(config.elements), marks))
+            out.append(render_number_grid(sgp, m, max(config.elements), marks))
         return "\n".join(out)
     rows = [
         {"index": i, "count": len(c), "elements": " ".join(str(x) for x in c.elements)}
@@ -476,17 +495,64 @@ def test_amenable_listing_memory_stays_flat():
     assert peak < 4_000_000
 
 
-def test_divisors_csv_memory_stays_flat():
-    # 399,953 rows; a whole tuple of the divisors peaked near 20 MB
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_divisors_memory_stays_flat(fmt):
+    # 399,953 divisors; a whole tuple of them peaked near 20 MB in csv, and
+    # json and ascii, which rendered the whole set at once, near 48 MB
     tracemalloc.start()
     try:
         code = cli.main(["divisors", "--gens", "9,13,15", "--x", "400000",
-                         "--format", "csv", "--out", os.devnull])
+                         "--format", fmt, "--out", os.devnull])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert code == 0
     assert peak < 4_000_000
+
+
+def old_divisors_rendering(sgp, x, fmt):
+    """What the divisors command printed when it rendered the whole set."""
+    elements = [d for d in range(x + 1) if sgp.contains(d) and sgp.contains(x - d)]
+    if fmt == "json":
+        payload = {"generators": list(sgp.minimal_generators), "x": x,
+                   "count": len(elements), "divisors": elements}
+        return json.dumps(payload, indent=2) + "\n"
+    if fmt == "csv":
+        return render_table([{"divisor": d} for d in elements], "csv")
+    grid = render_number_grid(sgp, 0, x, {d: "*" for d in elements})
+    return grid + f"{len(elements)} divisors of {x} (marked *)\n"
+
+
+class WriteLog(io.StringIO):
+    """A stdout that keeps the length of every write."""
+
+    def __init__(self):
+        super().__init__()
+        self.sizes = []
+
+    def write(self, text):
+        self.sizes.append(len(text))
+        return super().write(text)
+
+
+@pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
+def test_divisors_streams_the_whole_set_rendering(fmt, monkeypatch, tmp_path):
+    # x = 0, the conductor, 2c - 1 and a set of 4 * _CHUNK + 1 divisors, on
+    # S = N too; the largest set must reach stdout in pieces
+    for s in corpus_semigroups() + [interval_semigroup(12, 1)]:
+        gens = ",".join(map(str, s.minimal_generators))
+        c, many = s.conductor, 2 * s.genus + 4 * cli._CHUNK
+        for x in sorted({0, c, max(2 * c - 1, 0), many}):
+            expected = old_divisors_rendering(s, x, fmt)
+            argv = ["divisors", "--gens", gens, "--x", str(x), "--format", fmt]
+            monkeypatch.setattr(sys, "stdout", WriteLog())
+            code, log = cli.main(argv), sys.stdout
+            monkeypatch.undo()
+            assert (code, log.getvalue()) == (0, expected), (gens, x)
+            assert x < many or 3 * max(log.sizes) < len(expected), (gens, x)
+    target = tmp_path / "out.txt"
+    assert cli.main(argv + ["--out", str(target)]) == 0
+    assert target.read_text() == expected
 
 
 def test_ascii_formats_render(capsys):

@@ -49,17 +49,18 @@ def test_generic_search_builds_only_the_masks_it_reads(monkeypatch):
     # of <2, 9999> only m .. m + rho(3) can be read up to r = 3
     s = from_generators([2, 9999])
     m = smallest_asymptotic_base(s)
-    real_divisors = distances.divisors
-    calls = []
+    real_masks = distances._divisor_masks
+    windows = []
 
-    def counted(sgp, x):
-        calls.append(x)
-        assert len(calls) <= s.rho(3) + 1, f"divisor mask of {x} built"
-        return real_divisors(sgp, x)
+    def counted(sgp, lo, hi):
+        windows.append((lo, hi))
+        assert hi - lo <= s.rho(3) + 1, f"divisor masks of [{lo}, {hi}) built"
+        return real_masks(sgp, lo, hi)
 
-    monkeypatch.setattr(distances, "divisors", counted)
+    monkeypatch.setattr(distances, "_divisor_masks", counted)
     results = feng_rao_distances(s, m, range(1, 4))
     monkeypatch.undo()
+    assert windows == [(m, m + s.rho(3) + 1)]
     for res in results:
         assert res.delta == brute_force_distance(s, m, res.r).delta, res.r
 

@@ -13,6 +13,7 @@ from fengrao import (
     nu,
     smallest_asymptotic_base,
 )
+from fengrao.divisors import DivisorSet, _divisor_masks
 
 from corpus import CORPUS, corpus_semigroups
 
@@ -57,6 +58,35 @@ def test_divisors_against_double_loop(gens):
     for x in range(2 * s.conductor + 2 * s.largest_generator + 1):
         if s.contains(x):
             assert list(divisors(s, x).elements) == brute_divisors(s, x)
+
+
+def test_divisor_window_against_double_loop():
+    # the ground windows [2c - 1, 2c - 1 + n_e) of the generic search, and
+    # windows from below c, gaps included, which get the empty mask
+    for s in corpus_semigroups(max_multiplicity=13):
+        m, width = smallest_asymptotic_base(s), s.largest_generator
+        for lo, hi in [(m, m + width), (0, m + width), (s.conductor // 2, s.conductor + 3),
+                       (max(s.conductor - 1, 0), s.conductor + 1)]:
+            masks = _divisor_masks(s, lo, hi)
+            assert len(masks) == hi - lo
+            for x, mask in zip(range(lo, hi), masks):
+                expected = brute_divisors(s, x) if s.contains(x) else []
+                assert list(DivisorSet(mask)) == expected, (s.minimal_generators, x)
+
+
+def test_divisor_window_guards_its_largest_element_first():
+    s = from_generators([5, 6, 7, 9])
+    tracemalloc.start()
+    try:
+        for lo, hi in [(0, semigroup._MAX_ELEMENT + 2), (10**10, 10**10 + 3)]:
+            with pytest.raises(InvalidInput, match="guard"):
+                _divisor_masks(s, lo, hi)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    top = semigroup._MAX_ELEMENT
+    assert _divisor_masks(s, top, top + 1) == [divisors(s, top).mask]
 
 
 def test_element_guard_refuses_before_allocating():

@@ -158,6 +158,8 @@ def test_h_decompose_is_exact_at_huge_block_edges(b):
             assert r == d.h + b * d.h * (d.h - 1) // 2 + d.k * d.h + d.j
             assert -1 <= d.k <= b - 1 and 0 < d.j <= d.h
             assert d.k > -1 or d.j == d.h
+            # a shadow far narrower than a leaves the k test alone to decide
+            assert rho_equality_predicted(10**60, b, r) == (d.k in (-1, b - 1))
         assert h_decompose(start, b).h == q and h_decompose(start - 1, b).h == q - 1
 
 

@@ -1,4 +1,5 @@
 import ast
+import re
 import types
 from pathlib import Path
 
@@ -32,3 +33,12 @@ def test_every_refusal_raises_invalid_input_or_search_space_too_large():
         if isinstance(value, type) and issubclass(value, BaseException)
     }
     assert classes == {"FengRaoError", "InvalidInput", "SearchSpaceTooLarge"}
+
+
+def test_sources_parse_as_the_oldest_supported_python():
+    # catches syntax newer than the requires-python floor (except*, PEP 695
+    # generics on a 3.10 floor), not calls into newer library APIs
+    pyproject = (Path(__file__).parent.parent / "pyproject.toml").read_text()
+    minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
+    for path in sorted(Path(fengrao.__file__).parent.glob("*.py")):
+        ast.parse(path.read_text(), str(path), feature_version=(3, minor))
