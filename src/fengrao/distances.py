@@ -22,7 +22,7 @@ from .amenable import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .divisors import _divisor_masks, divisors
+from .divisors import _divisor_masks
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup
 
@@ -128,26 +128,25 @@ def brute_force_distance(
     a new divisor.  Only strictly smaller counts replace the best, so
     the witness is the first minimal subset in lexicographic order.
 
-    The bound uses nothing but that count, with no amenability, no
-    shadows and no closed form, so this stays the independent oracle for
-    feng_rao_distance.  Raises InvalidInput for a negative
-    ``max_subsets`` and SearchSpaceTooLarge, before any divisor set is
-    built, when the number of candidate subsets C(rho_r, r-1) exceeds it;
-    the subsets the search visits are usually far fewer.
+    The masks of D(m) and of the candidates are one ``_divisor_masks``
+    window.  The search is what keeps this the independent oracle for
+    feng_rao_distance: its bound uses nothing but the count, with no
+    amenability, no shadows and no closed form.  Raises InvalidInput for
+    a negative ``max_subsets`` and SearchSpaceTooLarge, before any divisor
+    set is built, when the number of candidate subsets C(rho_r, r-1)
+    exceeds it; the subsets the search visits are usually far fewer.
     """
     if max_subsets < 0:
         raise InvalidInput(f"subset cap must be >= 0, got {max_subsets}")
     _check_args(sgp, m, r)
-    candidates = range(m + 1, m + sgp.rho(r) + 1)  # every integer >= m is in S
-    total = comb(len(candidates), r - 1)
+    n = sgp.rho(r)  # the candidates m + 1 .. m + n: every integer >= m is in S
+    total = comb(n, r - 1)
     if total > max_subsets:
         raise SearchSpaceTooLarge(
             f"{total} candidate subsets exceed the cap of {max_subsets}"
         )
 
-    base_mask = divisors(sgp, m).mask
-    masks = [divisors(sgp, x).mask for x in candidates]
-    n = len(masks)
+    base_mask, *masks = _divisor_masks(sgp, m, m + n + 1)
     witness: list[int] = []  # candidate indices of the best subset
     if r == 1:
         best = base_mask.bit_count()

@@ -1,15 +1,13 @@
 """Divisor sets D(x) and divisor counts of configurations.
 
 alpha in S divides x in S when x - alpha is again in S, so
-D(x) = S intersect (x - S).  A divisor set is one int with bit d set for
-each divisor d, and a union of divisor sets is an OR.  D(x) has one
-construction, for a window of consecutive x at once, of which ``divisors``
-is the one-element case: S intersect [0, x] is written once as binary
-digits, "1" at index s for each element s.  Read backwards they are the
-mask of S, forwards the mask of x - S, and D(x) is the AND of the two;
-the next x shifts the mask of x - S left by one.  Each mask is built in
-time linear in its width, and an x above the element guard of
-``semigroup`` is refused before anything sized by x is built.
+D(x) = S intersect (x - S) and D(M) = S intersect (union of x - S, x in M).
+A divisor set is one int with bit d set for each divisor d.  Every mask
+comes from one build, ``_element_masks(sgp, top)``: the mask of S and
+that of top - S, which shifted right by top - x is the mask of x - S for
+each x <= top.  So D(x), a window of D(x) and D(M) at top = max(M) each
+take one build plus a shift per element.  A build is linear in top, and
+a top above the element guard of ``semigroup`` is refused first.
 """
 
 from __future__ import annotations
@@ -49,47 +47,49 @@ class DivisorSet:
         return f"DivisorSet(elements={self.elements})"
 
 
-def _element_digits(sgp: NumericalSemigroup, x: int) -> bytearray:
-    """S intersect [0, x] as ASCII binary digits, "1" at index s for s in S."""
-    digits = bytearray(b"0") * (x + 1)
-    digits[sgp.conductor :] = b"1" * (x + 1 - sgp.conductor)
-    for s in sgp.small_elements[: bisect_right(sgp.small_elements, x)]:
+def _element_masks(sgp: NumericalSemigroup, top: int) -> tuple[int, int]:
+    """The masks of S and of top - S, both cut to [0, top].
+
+    The only writer of S intersect [0, top] as binary digits, "1" at index
+    s for s in S: read backwards the mask of S, forwards that of top - S.
+    """
+    _check_element(top)
+    digits = bytearray(b"0") * (top + 1)
+    digits[sgp.conductor :] = b"1" * (top + 1 - sgp.conductor)
+    for s in sgp.small_elements[: bisect_right(sgp.small_elements, top)]:
         digits[s] = 49  # ord("1")
-    return digits
+    return int(digits[::-1], 2), int(digits, 2)
 
 
 def _divisor_masks(sgp: NumericalSemigroup, lo: int, hi: int) -> list[int]:
     """The masks of D(x) for every x in the nonempty range(lo, hi), 0 off S.
 
-    The digits of S intersect [0, hi - 1] are written once.  The mask of
-    x - S is that of x - 1 - S shifted left once, with bit 0 set when x is
-    in S, and each D(x) is its AND with the mask of S.  The work is O(c)
-    Python steps plus O(hi) machine work per x.
+    One build at top = hi - 1, then a shift and an AND per x.
     """
-    _check_element(hi - 1)
-    digits = _element_digits(sgp, hi - 1)
-    elements = int(digits[::-1], 2)
-    rev = int(digits, 2) >> (hi - 1 - lo)  # the mask of lo - S
-    masks = [elements & rev]
-    for x in range(lo + 1, hi):
-        rev = rev << 1 | digits[x] - 48  # digits[x] is ord("0") or ord("1")
-        masks.append(elements & rev)
-    return masks
+    in_s, rev = _element_masks(sgp, hi - 1)
+    return [in_s & (rev >> (hi - 1 - x)) for x in range(lo, hi)]
 
 
 def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
-    """D(x) = S intersect (x - S): the window of _divisor_masks at x alone."""
+    """D(x) = S intersect (x - S): the AND of the two masks at top = x."""
     if not sgp.contains(x):
         raise InvalidInput(f"{x} is not an element of the semigroup")
-    return DivisorSet(_divisor_masks(sgp, x, x + 1)[0])
+    in_s, rev = _element_masks(sgp, x)
+    return DivisorSet(in_s & rev)
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:
-    """Union of the divisor sets of the given semigroup elements."""
-    mask = 0
-    for x in sorted(set(elements)):
-        mask |= divisors(sgp, x).mask
-    return DivisorSet(mask)
+    """D(M), from one build at top = max(M); refuses the least non-element."""
+    xs = sorted(set(elements))
+    for x in xs:
+        if not sgp.contains(x):
+            raise InvalidInput(f"{x} is not an element of the semigroup")
+    top = xs[-1] if xs else 0
+    in_s, rev = _element_masks(sgp, top)
+    union = 0
+    for x in xs:
+        union |= rev >> (top - x)
+    return DivisorSet(in_s & union)
 
 
 def nu(sgp: NumericalSemigroup, elements: Iterable[int]) -> int:
@@ -101,9 +101,9 @@ def divisors_above(sgp: NumericalSemigroup, y: int, x: int) -> DivisorSet:
     """D(y) cut to [x, infinity), computed as (y - S) cut to [x, infinity).
 
     Valid for c <= x <= y; in that range every difference y - s that is
-    >= x is automatically an element, so the mask is the digits of
-    S intersect [0, y - x] shifted left by x.  It is y bits wide, so y
-    answers to the element guard.
+    >= x is automatically an element, so the mask is that of (y - x) - S
+    shifted left by x.  It is y bits wide, so y answers to the element
+    guard.
     """
     if not sgp.contains(y):
         raise InvalidInput(f"{y} is not an element of the semigroup")
@@ -112,4 +112,4 @@ def divisors_above(sgp: NumericalSemigroup, y: int, x: int) -> DivisorSet:
         raise InvalidInput(
             f"need conductor {sgp.conductor} <= x <= y, got x={x}, y={y}"
         )
-    return DivisorSet(int(_element_digits(sgp, y - x), 2) << x)
+    return DivisorSet(_element_masks(sgp, y - x)[1] << x)

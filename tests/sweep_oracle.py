@@ -12,9 +12,11 @@ form at every point of b < a <= amax, r <= rmax.  Part three compares it
 with the generic search on the test corpus, for r <= 8 at the bases
 2c - 1, ..., 2c + 5.  Part four compares the bitmask ``divisors`` with
 the double loop {p <= x : p in S, x - p in S} at every element
-x <= 2c + 2n_e, and ``divisors_above(y, x)`` with D(y) cut to [x, inf)
-at every c <= x <= y in that range, for every <a..a+b> with
-b < a <= 20 and every corpus semigroup.  Each part prints its range,
+x <= 2c + 2n_e, ``divisors_above(y, x)`` with D(y) cut to [x, inf)
+at every c <= x <= y in that range, and ``divisors_of_set`` with the
+union of the double loops on every pair of consecutive elements and on
+seeded random triples of elements in that range, for every <a..a+b>
+with b < a <= 20 and every corpus semigroup.  Each part prints its range,
 point count, mismatches and wall time; the exit code is 1 on any
 mismatch.  No subset cap applies: the sweep wants every point answered.
 """
@@ -22,6 +24,7 @@ mismatch.  No subset cap applies: the sweep wants every point answered.
 from __future__ import annotations
 
 import argparse
+import random
 import sys
 import time
 
@@ -32,6 +35,7 @@ from fengrao import (
     brute_force_distance,
     divisors,
     divisors_above,
+    divisors_of_set,
     feng_rao_distances,
     from_generators,
     h_decompose,
@@ -46,6 +50,7 @@ DECOMPOSE_RMAX = 30_000
 CORPUS_RMAX = 8
 CORPUS_OFFSETS = range(7)
 DIVISORS_AMAX = 20
+TRIPLES = 20  # random element triples per semigroup
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -90,20 +95,22 @@ def sweep_generic() -> tuple[int, list[tuple]]:
     return points, mismatches
 
 
-def sweep_divisors() -> tuple[int, int, list[tuple]]:
+def sweep_divisors() -> tuple[int, int, int, list[tuple]]:
     semigroups = [from_generators(gens) for gens in CORPUS] + [
         interval_semigroup(a, b)
         for a in range(2, DIVISORS_AMAX + 1)
         for b in range(1, a)
     ]
-    points, cuts, mismatches = 0, 0, []
+    rng = random.Random(2024)
+    points, cuts, unions, mismatches = 0, 0, 0, []
     for s in semigroups:
+        loops = {}  # element y -> the double loop D(y)
         for y in range(2 * s.conductor + 2 * s.largest_generator + 1):
             if not s.contains(y):
                 continue
             points += 1
             d = divisors(s, y)
-            loop = [p for p in range(y + 1) if s.contains(p) and s.contains(y - p)]
+            loop = loops[y] = [p for p in range(y + 1) if s.contains(p) and s.contains(y - p)]
             if list(d) != loop:
                 mismatches.append((s.minimal_generators, y, d.elements, tuple(loop)))
             for x in range(s.conductor, y + 1):
@@ -111,7 +118,15 @@ def sweep_divisors() -> tuple[int, int, list[tuple]]:
                 above = divisors_above(s, y, x)
                 if above.mask != d.mask >> x << x:
                     mismatches.append((s.minimal_generators, y, x, above.elements))
-    return points, cuts, mismatches
+        elements = list(loops)
+        configs = list(zip(elements, elements[1:]))
+        configs += [rng.sample(elements, 3) for _ in range(TRIPLES)]
+        for config in configs:
+            unions += 1
+            union = sorted({p for y in config for p in loops[y]})
+            if list(divisors_of_set(s, config)) != union:
+                mismatches.append((s.minimal_generators, config))
+    return points, cuts, unions, mismatches
 
 
 def report(label: str, points: int, mismatches: list[tuple], seconds: float) -> None:
@@ -139,11 +154,12 @@ def main(argv: list[str] | None = None) -> int:
     report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX}, "
            f"m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}", points, generic, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    points, cuts, divs = sweep_divisors()
-    report(f"bitmask divisors vs double loop ({points} x) and divisors_above vs "
-           f"D(y) cut to [x, inf) ({cuts} pairs), x <= 2c + 2n_e, corpus and "
+    points, cuts, unions, divs = sweep_divisors()
+    report(f"bitmask divisors vs double loop ({points} x), divisors_above vs "
+           f"D(y) cut to [x, inf) ({cuts} pairs) and divisors_of_set vs the union "
+           f"of double loops ({unions} sets), x <= 2c + 2n_e, corpus and "
            f"<a..a+b> with b < a <= {DIVISORS_AMAX}",
-           points + cuts, divs, time.perf_counter() - t0)
+           points + cuts + unions, divs, time.perf_counter() - t0)
     return 1 if decomposed or closed or generic or divs else 0
 
 

@@ -1,3 +1,4 @@
+import importlib
 import random
 from itertools import combinations
 from math import comb, gcd
@@ -22,6 +23,9 @@ from fengrao import (
 )
 
 from corpus import corpus_semigroups
+
+# the package re-exports the function divisors under the module's name
+divisors_module = importlib.import_module("fengrao.divisors")
 
 
 def test_r1_is_counting_law():
@@ -63,6 +67,31 @@ def test_generic_search_builds_only_the_masks_it_reads(monkeypatch):
     assert windows == [(m, m + s.rho(3) + 1)]
     for res in results:
         assert res.delta == brute_force_distance(s, m, res.r).delta, res.r
+
+
+def test_brute_force_builds_one_window_and_no_single_divisor_set(monkeypatch):
+    # D(m) and every candidate mask come from the window [m, m + rho_r]
+    real_masks = distances._divisor_masks
+    windows = []
+
+    def counted(sgp, lo, hi):
+        windows.append((lo, hi))
+        return real_masks(sgp, lo, hi)
+
+    def refused(*args):
+        raise AssertionError("brute force called divisors")
+
+    for s in corpus_semigroups(max_multiplicity=7):
+        m = smallest_asymptotic_base(s) + 2
+        for r in (1, 2, 4):
+            expected = brute_force_distance(s, m, r)
+            windows.clear()
+            monkeypatch.setattr(distances, "_divisor_masks", counted)
+            monkeypatch.setattr(distances, "divisors", refused, raising=False)
+            monkeypatch.setattr(divisors_module, "divisors", refused)
+            assert brute_force_distance(s, m, r) == expected
+            monkeypatch.undo()
+            assert windows == [(m, m + s.rho(r) + 1)], (s.minimal_generators, r)
 
 
 def test_translation_identity():

@@ -1,3 +1,4 @@
+import importlib
 import random
 import tracemalloc
 
@@ -16,6 +17,9 @@ from fengrao import (
 from fengrao.divisors import DivisorSet, _divisor_masks
 
 from corpus import CORPUS, corpus_semigroups
+
+# the package re-exports the function divisors under the module's name
+divisors_module = importlib.import_module("fengrao.divisors")
 
 FIG_DIVISORS_60 = (0, 9, 15, 18, 24, 27, 30, 33, 36, 42, 45, 51, 60)
 
@@ -133,6 +137,64 @@ def test_divisor_closure():
 def test_divisors_of_set_singleton_matches():
     s = from_generators([9, 13, 15])
     assert divisors_of_set(s, [60]).elements == divisors(s, 60).elements
+
+
+@pytest.mark.parametrize("gens", [g for g in CORPUS if g[0] <= 9])
+def test_divisors_of_set_against_double_loop_union(gens):
+    s = from_generators(gens)
+    pool = [x for x in range(2 * s.conductor + 2 * s.largest_generator + 1) if s.contains(x)]
+    below_c = [x for x in pool if x < s.conductor]
+    rng = random.Random(len(pool))
+    configs = [rng.sample(pool, min(size, len(pool))) for size in range(7) for _ in range(5)]
+    configs += [[0, max(pool)], [0, *rng.sample(pool, min(3, len(pool)))]]  # sparse, from 0
+    configs += [rng.sample(below_c, min(size, len(below_c))) for size in (1, 2, 3)]
+    for config in configs:
+        config = config + config[:1]  # a repeated element counts once
+        expected = sorted({p for x in config for p in brute_divisors(s, x)})
+        assert list(divisors_of_set(s, config)) == expected, (gens, config)
+        assert nu(s, iter(config)) == len(expected), (gens, config)
+
+
+def test_divisors_of_set_refuses_the_least_non_element():
+    s = from_generators([9, 13, 15])
+    for refuse in (divisors_of_set, nu):
+        with pytest.raises(InvalidInput, match="^11 is not an element of the semigroup$"):
+            refuse(s, [60, 47, 11])
+
+
+def test_divisors_of_set_builds_once(monkeypatch):
+    s = from_generators([9, 13, 15])
+    m = smallest_asymptotic_base(s)
+    config = range(m, m + 50)
+    real_build = divisors_module._element_masks
+    tops = []
+
+    def counted(sgp, top):
+        tops.append(top)
+        return real_build(sgp, top)
+
+    monkeypatch.setattr(divisors_module, "_element_masks", counted)
+    union = divisors_of_set(s, config)
+    monkeypatch.undo()
+    assert tops == [m + 49]
+    expected = 0
+    for x in config:
+        expected |= divisors(s, x).mask
+    assert union.mask == expected
+
+
+def test_divisors_of_set_memory_stays_flat():
+    # 1,000 masks of up to 400,000 bits would hold about 50 MB at once
+    s = from_generators([5, 6, 7, 9])
+    config = range(0, 400_000, 400)
+    tracemalloc.start()
+    try:
+        union = divisors_of_set(s, config)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 4_000_000
+    assert 0 in union and all(x in union for x in config)
 
 
 def test_figure_amenable_divisor_union():
