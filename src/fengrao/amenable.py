@@ -75,6 +75,7 @@ class Configuration:
         return iter(self.elements)
 
     def offsets(self) -> tuple[int, ...]:
+        """The elements minus the base, so the base is offset 0."""
         return tuple(x - self.base for x in self.elements)
 
 

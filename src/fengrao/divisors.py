@@ -31,6 +31,7 @@ class DivisorSet:
 
     @property
     def elements(self) -> tuple[int, ...]:
+        """The divisors as an ascending tuple."""
         return tuple(self)
 
     def __len__(self) -> int:

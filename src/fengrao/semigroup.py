@@ -25,10 +25,9 @@ from .errors import InvalidInput
 # first generator at which the running gcd reaches 1, caps c.
 _MAX_MULTIPLICITY = 1_000
 _MAX_CONDUCTOR_BOUND = 1_000_000
-# Largest x for which elements_up_to and divisors build a list of about x
-# ints.  At the base m = 2c - 1 the generic search asks for D(x) up to
-# x = m + n_e - 1, and n_e <= F + a_1 for every minimal generator, so
-# within the guards above that stays below 3 * 10^6 + 10^3.
+# Largest x a divisor mask is built up to, checked before its x + 1 digits
+# exist.  The generic search at m = 2c - 1 builds up to m + n_e - 1, and
+# n_e <= F + a_1, so within the guards above that stays below 3 * 10^6 + 10^3.
 _MAX_ELEMENT = 4_000_000
 
 
@@ -73,13 +72,8 @@ class NumericalSemigroup:
     _least: tuple[int, ...] = field(repr=False)
 
     def contains(self, n: int) -> bool:
-        """True iff n is an element of the semigroup."""
-        if n < 0:
-            return False
+        """True iff n is an element of S; a negative n is below every _least."""
         return n >= self._least[n % self.multiplicity]
-
-    def __contains__(self, n: int) -> bool:
-        return self.contains(n)
 
     def rho(self, i: int) -> int:
         """i-th smallest element (1-based): rho(1) = 0, rho(2) = multiplicity."""
@@ -91,21 +85,9 @@ class NumericalSemigroup:
         # beyond the conductor the elements are consecutive integers
         return self.genus + i - 1
 
-    def elements_up_to(self, x: int) -> list[int]:
-        """All elements of S that are <= x, ascending; empty for x < 0.
-
-        Raises InvalidInput, before allocating, for x above _MAX_ELEMENT.
-        """
-        _check_element(x)
-        if x < 0:
-            return []
-        c = self.conductor
-        if x < c:
-            return [s for s in self.small_elements if s <= x]
-        return list(self.small_elements[:-1]) + list(range(c, x + 1))
-
     @property
     def largest_generator(self) -> int:
+        """n_e, the largest minimal generator."""
         return self.minimal_generators[-1]
 
     @property

@@ -42,3 +42,28 @@ def test_sources_parse_as_the_oldest_supported_python():
     minor = int(re.search(r'requires-python = ">=3\.(\d+)"', pyproject).group(1))
     for path in sorted(Path(fengrao.__file__).parent.glob("*.py")):
         ast.parse(path.read_text(), str(path), feature_version=(3, minor))
+
+
+def test_every_public_name_and_member_has_a_docstring():
+    # own docstrings only: an inherited one, or the signature a dataclass
+    # writes in place of a missing one, does not count
+    missing = []
+    for name in fengrao.__all__:
+        value = getattr(fengrao, name)
+        doc = vars(value).get("__doc__") if isinstance(value, type) else value.__doc__
+        if not doc or not doc.strip() or doc.startswith(f"{name}("):
+            missing.append(name)
+        if not isinstance(value, type):
+            continue
+        for member, attr in vars(value).items():
+            if member.startswith("_"):
+                continue
+            if isinstance(attr, property):
+                attr = attr.fget
+            elif isinstance(attr, (classmethod, staticmethod)):
+                attr = attr.__func__
+            elif not isinstance(attr, types.FunctionType):
+                continue
+            if not (attr.__doc__ or "").strip():
+                missing.append(f"{name}.{member}")
+    assert missing == []

@@ -22,9 +22,10 @@ from fengrao import (  # noqa: E402
 
 
 @st.composite
-def small_semigroups(draw):
-    """Multiplicity <= 7 with up to three further generators below 3a + 3."""
-    a = draw(st.integers(1, 7))
+def small_semigroups(draw, max_multiplicity=7):
+    """Multiplicity <= max_multiplicity with up to three further generators
+    below 3a + 3."""
+    a = draw(st.integers(1, max_multiplicity))
     rest = draw(st.lists(st.integers(a + 1, 3 * a + 2), max_size=3, unique=True))
     assume(gcd(a, *rest) == 1)
     return from_generators([a, *rest])
@@ -57,7 +58,7 @@ def feng_rao_numbers(s, rmax):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(s=small_semigroups())
+@given(s=small_semigroups(max_multiplicity=9))
 def test_feng_rao_number_at_most_rho(s):
     # the Goppa-like bound of Farran and Munuera (2003): E(S, r) <= rho_r,
     # with equality for r >= c + 1
@@ -69,7 +70,7 @@ def test_feng_rao_number_at_most_rho(s):
 
 @st.composite
 def two_generator_semigroups(draw):
-    a = draw(st.integers(2, 8))
+    a = draw(st.integers(2, 10))
     b = draw(st.integers(a + 1, 2 * a + 3))
     assume(gcd(a, b) == 1)
     return from_generators([a, b])
@@ -79,7 +80,7 @@ def two_generator_semigroups(draw):
 @given(s=two_generator_semigroups())
 def test_two_generator_feng_rao_number_is_rho(s):
     # Delgado, Farran, Garcia-Sanchez and Llena (IEEE Trans. IT, 2014)
-    rmax = 8
+    rmax = 10
     assert feng_rao_numbers(s, rmax) == [s.rho(r) for r in range(1, rmax + 1)]
 
 

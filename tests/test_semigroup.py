@@ -4,7 +4,8 @@ from math import gcd
 import pytest
 
 import fengrao.semigroup as semigroup
-from fengrao import InvalidInput, from_generators
+from fengrao import DivisorSet, InvalidInput, from_generators
+from fengrao.divisors import _element_masks
 
 from corpus import CORPUS, corpus_semigroups
 
@@ -81,23 +82,16 @@ def test_size_guards_refuse_before_allocating(monkeypatch):
             from_generators(gens)
 
 
-def test_element_guard_refuses_before_allocating(monkeypatch):
+def test_element_guard_refuses_before_allocating():
     # the generic search asks for elements up to m + n_e - 1 at the base
-    # m = 2c - 1, and n_e <= F + a_1, so every admitted semigroup is served
+    # m = 2c - 1, and n_e <= F + a_1, so every admitted semigroup is served;
+    # every mask build calls the guard before its digits exist
     bound = semigroup._MAX_ELEMENT
     assert 3 * semigroup._MAX_CONDUCTOR_BOUND + semigroup._MAX_MULTIPLICITY <= bound
-    s = from_generators([2, 3])
-
-    def refuse(*args):
-        raise Allocated(args)
-
-    # the list of elements above the conductor is built from this range
-    monkeypatch.setattr(semigroup, "range", refuse, raising=False)
+    semigroup._check_element(bound)
     for x in (bound + 1, 10**10):
         with pytest.raises(InvalidInput, match="guard"):
-            s.elements_up_to(x)
-    with pytest.raises(Allocated):
-        s.elements_up_to(bound)
+            semigroup._check_element(x)
 
 
 def test_generator_minimalization():
@@ -160,6 +154,9 @@ def test_contains_examples():
     assert s.contains(0)
     assert s.contains(28)  # 13 + 15
     assert not s.contains(-3)
+    # no negative n is an element, whatever its residue class
+    for t in corpus_semigroups():
+        assert not any(t.contains(n) for n in range(-3 * t.multiplicity, 0))
 
 
 @pytest.mark.parametrize("gens", CORPUS)
@@ -196,18 +193,27 @@ def test_rho_index_identity_past_conductor(gens):
         assert s.rho(x + 1 - s.genus) == x
 
 
+def elements_up_to(s, x):
+    """S ∩ [0, x] from both masks of `_element_masks`, the one lister of S."""
+    in_s, rev = _element_masks(s, x)
+    ascending = list(DivisorSet(in_s))
+    assert [x - d for d in reversed(list(DivisorSet(rev)))] == ascending
+    return ascending
+
+
 def test_elements_up_to():
     s = from_generators([9, 13, 15])
-    assert s.elements_up_to(17) == [0, 9, 13, 15]
-    assert s.elements_up_to(-1) == []
-    assert from_generators([1]).elements_up_to(3) == [0, 1, 2, 3]
+    assert elements_up_to(s, 17) == [0, 9, 13, 15]
+    assert elements_up_to(s, 0) == [0]
+    assert elements_up_to(from_generators([1]), 3) == [0, 1, 2, 3]
 
 
 @pytest.mark.parametrize("gens", CORPUS)
 def test_elements_up_to_matches_membership(gens):
     s = from_generators(gens)
-    for x in (-1, 0, s.conductor - 1, s.conductor, s.conductor + 7):
-        assert s.elements_up_to(x) == [n for n in range(max(x, -1) + 1) if s.contains(n)]
+    for x in (0, s.conductor - 1, s.conductor, s.conductor + 7):
+        if x >= 0:
+            assert elements_up_to(s, x) == [n for n in range(x + 1) if s.contains(n)]
 
 
 def test_equality_is_canonical():
