@@ -6,13 +6,14 @@ A divisor set is one int with bit d set for each divisor d.  Every mask
 comes from one build, ``_element_masks(sgp, top)``: the mask of S and
 that of top - S, which shifted right by top - x is the mask of x - S for
 each x <= top.  So D(x), a window of D(x) and D(M) at top = max(M) each
-take one build plus a shift per element.  A build is linear in top, and
-a top above the element guard of ``semigroup`` is refused first.
+take one build plus a shift per element.  A build only shifts and ORs
+the two masks of S intersect [0, c] that the semigroup keeps, so it
+costs O(top / word) machine steps and no Python step per element; a top
+above the element guard of ``semigroup`` is refused first.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_right
 from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
@@ -51,15 +52,17 @@ class DivisorSet:
 def _element_masks(sgp: NumericalSemigroup, top: int) -> tuple[int, int]:
     """The masks of S and of top - S, both cut to [0, top].
 
-    The only writer of S intersect [0, top] as binary digits, "1" at index
-    s for s in S: read backwards the mask of S, forwards that of top - S.
+    Shifts of the two masks of S intersect [0, c] that construction keeps:
+    below c, the mask of S is cut and the reversed one shifted right by
+    c - top; from c on, the run [c, top] is ORed into the first, and the
+    second, shifted left by top - c, gets the low bits [0, top - c].
     """
     _check_element(top)
-    digits = bytearray(b"0") * (top + 1)
-    digits[sgp.conductor :] = b"1" * (top + 1 - sgp.conductor)
-    for s in sgp.small_elements[: bisect_right(sgp.small_elements, top)]:
-        digits[s] = 49  # ord("1")
-    return int(digits[::-1], 2), int(digits, 2)
+    c = sgp.conductor
+    if top < c:
+        return sgp._small_mask & ((1 << (top + 1)) - 1), sgp._small_rev >> (c - top)
+    run = (1 << (top - c + 1)) - 1  # bits [0, top - c]
+    return sgp._small_mask | (run << c), (sgp._small_rev << (top - c)) | run
 
 
 def _divisor_masks(sgp: NumericalSemigroup, lo: int, hi: int) -> list[int]:

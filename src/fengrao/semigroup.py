@@ -4,9 +4,13 @@ A numerical semigroup S is a cofinite submonoid of the non-negative
 integers.  Everything downstream (divisor sets, amenable sets, Feng-Rao
 distances) queries membership heavily, so construction eagerly computes
 the least element of S in every residue class modulo the multiplicity;
-membership is then a single table lookup, and the conductor, genus,
-small elements and minimal generators are all read off that table; the
-gaps and the Frobenius number are derived from it when read.
+membership is then a single table lookup, and the conductor, genus and
+minimal generators are all read off that table; the gaps and the
+Frobenius number are derived from it when read.  Construction also
+writes S intersect [0, c] once, one slice per residue class from its
+least element, and keeps it as the small elements and as two private
+int masks (bit s, and bit c - s, for each small element s), which every
+divisor mask is cut or extended from.
 """
 
 from __future__ import annotations
@@ -14,21 +18,25 @@ from __future__ import annotations
 import heapq
 from bisect import bisect_right
 from dataclasses import dataclass, field
+from itertools import compress
 from math import gcd
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
 
 # Desk-scale guards, checked before anything is allocated: construction
-# builds a table of a_1 entries and a tuple of the small elements, at most
-# c + 1 entries.  Schur's bound c <= (a_1 - 1)(a_j - 1), with a_j the
-# first generator at which the running gcd reaches 1, caps c.
+# builds a table of a_1 entries, a tuple of the small elements, at most
+# c + 1 entries, and two masks of c + 1 bits.  Schur's bound
+# c <= (a_1 - 1)(a_j - 1), with a_j the first generator at which the
+# running gcd reaches 1, caps c.
 _MAX_MULTIPLICITY = 1_000
 _MAX_CONDUCTOR_BOUND = 1_000_000
-# Largest x a divisor mask is built up to, checked before its x + 1 digits
+# Largest x a divisor mask is built up to, checked before its x + 1 bits
 # exist.  The generic search at m = 2c - 1 builds up to m + n_e - 1, and
 # n_e <= F + a_1, so within the guards above that stays below 3 * 10^6 + 10^3.
 _MAX_ELEMENT = 4_000_000
+
+_DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a flag byte to a binary digit
 
 
 def _check_element(x: int) -> None:
@@ -70,6 +78,10 @@ class NumericalSemigroup:
     small_elements: tuple[int, ...]
     # least element of S in each residue class mod multiplicity
     _least: tuple[int, ...] = field(repr=False)
+    # S intersect [0, c] as bit s, and reversed as bit c - s, for each small
+    # element s; both follow from _least, so they take no part in ==
+    _small_mask: int = field(repr=False, compare=False)
+    _small_rev: int = field(repr=False, compare=False)
 
     def contains(self, n: int) -> bool:
         """True iff n is an element of S; a negative n is below every _least."""
@@ -139,7 +151,13 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
     least = _least_in_residues(unique, mult)
     conductor = max(least) - mult + 1
     genus = sum(d // mult for d in least)
-    small = tuple(n for n in range(conductor + 1) if n >= least[n % mult])
+    # S intersect [0, c], one flag per integer: a residue class mod mult
+    # holds its least element d and every d + k * mult, (c - d) // mult + 1
+    # of them up to c, which is 0 for d > c because d < c + mult
+    flags = bytearray(conductor + 1)
+    for d in least:
+        flags[d::mult] = b"\x01" * ((conductor - d) // mult + 1)
+    digits = flags.translate(_DIGITS)
     # g is a sum of two nonzero elements iff g - h is in S for a minimal
     # generator h inside the first summand; g - h below mult is a gap
     minimal: list[int] = []
@@ -153,8 +171,10 @@ def from_generators(gens: Iterable[int]) -> NumericalSemigroup:
         multiplicity=mult,
         conductor=conductor,
         genus=genus,
-        small_elements=small,
+        small_elements=tuple(compress(range(conductor + 1), flags)),
         _least=tuple(least),
+        _small_mask=int(digits[::-1], 2),
+        _small_rev=int(digits, 2),
     )
     assert sgp.conductor <= 2 * sgp.genus
     return sgp

@@ -2,8 +2,14 @@
 
 Generator tuples only; construct on demand.  Multiplicities range from
 1 to 19 so the acceptance filters (<= 13 for the counting law, <= 9 for
-the brute-force oracle) both have enough members.
+the brute-force oracle) both have enough members.  ``random_semigroups``
+adds a seeded stream of larger ones, for the mask builder's tests and
+``sweep_oracle.py``.
 """
+
+import random
+from math import gcd
+from typing import Iterator
 
 from fengrao import NumericalSemigroup, from_generators
 # the acceptance criteria, whose file does not change, import it by this name
@@ -41,3 +47,13 @@ def corpus_semigroups(max_multiplicity: int | None = None) -> list[NumericalSemi
         out = [s for s in out if s.multiplicity <= max_multiplicity]
     return out
 
+
+def random_semigroups(seed: int) -> Iterator[NumericalSemigroup]:
+    """An endless seeded stream of semigroups with 2 to 5 generators and
+    multiplicity <= 40; the largest conductors reach a few thousand."""
+    rng = random.Random(seed)
+    while True:
+        a = rng.randint(2, 40)
+        gens = [a, *rng.sample(range(a + 1, 3 * a + 2), rng.randint(1, 4))]
+        if gcd(*gens) == 1:
+            yield from_generators(gens)

@@ -16,9 +16,12 @@ x <= 2c + 2n_e, ``divisors_above(y, x)`` with D(y) cut to [x, inf)
 at every c <= x <= y in that range, and ``divisors_of_set`` with the
 union of the double loops on every pair of consecutive elements and on
 seeded random triples of elements in that range, for every <a..a+b>
-with b < a <= 20 and every corpus semigroup.  Each part prints its range,
-point count, mismatches and wall time; the exit code is 1 on any
-mismatch.  No subset cap applies: the sweep wants every point answered.
+with b < a <= 20, every corpus semigroup and eight seeded random
+semigroups with 2 to 5 generators and multiplicity <= 40, one with its
+conductor in each eighth of (0, 2,000], so both branches of the mask
+builder (below c and from c on) are swept at scale.  Each part prints
+its range, point count, mismatches and wall time; the exit code is 1 on
+any mismatch.  No subset cap applies: the sweep wants every point answered.
 """
 
 from __future__ import annotations
@@ -28,7 +31,8 @@ import random
 import sys
 import time
 
-from corpus import CORPUS  # tests/, the script's directory, is on sys.path
+# tests/, the script's directory, is on sys.path
+from corpus import CORPUS, random_semigroups
 from interval_reference import block_walk_decompose
 
 from fengrao import (
@@ -51,6 +55,8 @@ CORPUS_RMAX = 8
 CORPUS_OFFSETS = range(7)
 DIVISORS_AMAX = 20
 TRIPLES = 20  # random element triples per semigroup
+RANDOM_SEMIGROUPS = 8
+RANDOM_CMAX = 2_000
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -95,12 +101,23 @@ def sweep_generic() -> tuple[int, list[tuple]]:
     return points, mismatches
 
 
+def banded_semigroups(count: int, cmax: int, seed: int) -> list:
+    """From the seeded random stream, the first semigroup with its conductor
+    in each of ``count`` equal bands of (0, cmax]."""
+    bands: dict = {}
+    for s in random_semigroups(seed):
+        if 0 < s.conductor <= cmax:
+            bands.setdefault((s.conductor - 1) * count // cmax, s)
+            if len(bands) == count:
+                return [bands[band] for band in sorted(bands)]
+
+
 def sweep_divisors() -> tuple[int, int, int, list[tuple]]:
     semigroups = [from_generators(gens) for gens in CORPUS] + [
         interval_semigroup(a, b)
         for a in range(2, DIVISORS_AMAX + 1)
         for b in range(1, a)
-    ]
+    ] + banded_semigroups(RANDOM_SEMIGROUPS, RANDOM_CMAX, seed=15)
     rng = random.Random(2024)
     points, cuts, unions, mismatches = 0, 0, 0, []
     for s in semigroups:
@@ -157,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
     points, cuts, unions, divs = sweep_divisors()
     report(f"bitmask divisors vs double loop ({points} x), divisors_above vs "
            f"D(y) cut to [x, inf) ({cuts} pairs) and divisors_of_set vs the union "
-           f"of double loops ({unions} sets), x <= 2c + 2n_e, corpus and "
-           f"<a..a+b> with b < a <= {DIVISORS_AMAX}",
+           f"of double loops ({unions} sets), x <= 2c + 2n_e, corpus, "
+           f"<a..a+b> with b < a <= {DIVISORS_AMAX} and {RANDOM_SEMIGROUPS} random "
+           f"semigroups with c <= {RANDOM_CMAX}",
            points + cuts + unions, divs, time.perf_counter() - t0)
     return 1 if decomposed or closed or generic or divs else 0
 

@@ -1,6 +1,8 @@
+import dataclasses
 import importlib
 import random
 import tracemalloc
+from itertools import islice
 
 import pytest
 
@@ -14,9 +16,10 @@ from fengrao import (
     nu,
     smallest_asymptotic_base,
 )
-from fengrao.divisors import DivisorSet, _divisor_masks
+from fengrao.divisors import DivisorSet, _divisor_masks, _element_masks
 
-from corpus import CORPUS, corpus_semigroups
+from corpus import CORPUS, corpus_semigroups, random_semigroups
+from mask_reference import digit_element_masks
 
 # the package re-exports the function divisors under the module's name
 divisors_module = importlib.import_module("fengrao.divisors")
@@ -91,6 +94,57 @@ def test_divisor_window_guards_its_largest_element_first():
     assert peak < 1_000_000
     top = semigroup._MAX_ELEMENT
     assert _divisor_masks(s, top, top + 1) == [divisors(s, top).mask]
+
+
+def test_element_masks_against_digit_reference():
+    # every top in [0, 3c + n_e] crosses both branches of the builder, cut
+    # below c and extended from c on; the corpus holds <1> and <2,3>
+    sample = corpus_semigroups() + list(islice(random_semigroups(seed=15), 25))
+    assert max(s.conductor for s in sample) > 1_000
+    for s in sample:
+        small = tuple(n for n in range(s.conductor + 1) if s.contains(n))
+        assert s.small_elements == small, s.minimal_generators
+        for top in range(3 * s.conductor + s.largest_generator + 1):
+            assert _element_masks(s, top) == digit_element_masks(s, top), (
+                s.minimal_generators, top)
+
+
+def test_element_masks_at_the_conductor_of_a_large_semigroup():
+    s = from_generators([1000, 1001])
+    c = s.conductor
+    for top in (c - 1, c, c + 1, 2 * c - 1):
+        assert _element_masks(s, top) == digit_element_masks(s, top), top
+
+
+class Unreadable:
+    """A stand-in for ``small_elements`` that fails on any read."""
+
+    def __getitem__(self, index):
+        raise AssertionError("small_elements was read")
+
+    def __len__(self):
+        raise AssertionError("small_elements was read")
+
+
+def test_divisor_masks_never_read_the_small_elements():
+    # every mask is a shift of the masks construction keeps, so a semigroup
+    # whose small_elements cannot be read still answers every divisor query
+    for s in corpus_semigroups(max_multiplicity=13):
+        blind = dataclasses.replace(s, small_elements=Unreadable())
+        c, m = s.conductor, smallest_asymptotic_base(s)
+        elements = [x for x in range(2 * c + 2 * s.largest_generator + 1) if s.contains(x)]
+        for x in elements:
+            assert list(divisors(blind, x)) == brute_divisors(s, x), (s.minimal_generators, x)
+        lo, hi = max(c - 3, 0), m + s.largest_generator
+        for x, mask in zip(range(lo, hi), _divisor_masks(blind, lo, hi)):
+            expected = brute_divisors(s, x) if s.contains(x) else []
+            assert list(DivisorSet(mask)) == expected, (s.minimal_generators, x)
+        config = elements[:: max(len(elements) // 5, 1)]
+        union = {p for x in config for p in brute_divisors(s, x)}
+        assert nu(blind, config) == len(union)
+        y = elements[-1]
+        assert divisors_above(blind, y, c).elements == tuple(
+            p for p in brute_divisors(s, y) if p >= c)
 
 
 def test_element_guard_refuses_before_allocating():
@@ -259,7 +313,7 @@ def test_divisors_above_golden():
 
 
 def test_divisors_above_element_guard_refuses_before_allocating():
-    # the mask is y bits wide; unguarded, y = 10^9 would write 10^9 digits
+    # the mask is y bits wide; unguarded, y = 10^9 would build 125 MB of mask
     s = from_generators([4, 5])
     tracemalloc.start()
     try:
