@@ -18,12 +18,16 @@ so one search to depth hi passes every amenable set of each size up to
 hi; given a range of sizes, it yields each set of a requested size when
 it reaches it, before its extensions, which is lexicographic order.
 Sizes above ``_MAX_SIZE`` are refused before the per-depth tables exist.
+A caller may bound the walk with a ``descend`` predicate, asked about
+each prefix before its extensions; the distance search uses it to cut
+subtrees whose divisor count cannot beat the best found, and the
+``amenable`` command walks the whole tree.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
 The number of divisors of an amenable set only depends on its shadow
 (plus the count of elements above the ground), so the distance search
-keeps one representative per shadow and size.  Sets of one size that
+draws one representative per shadow and size.  Sets of one size that
 share a shadow are contiguous in lexicographic order, so that dedup
 compares each shadow with the previous one of the same size only and
 holds no set of those seen.
@@ -33,14 +37,17 @@ from __future__ import annotations
 
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import Iterator
+from typing import Callable, Iterator
 
 from .errors import InvalidInput
 from .semigroup import NumericalSemigroup
 
-# Largest configuration size a search accepts.  Far above any size the
-# search can finish (r = 14 already visits half a million sets); the bound
-# refuses absurd sizes before the per-depth tables are allocated.
+# Largest configuration size a search accepts.  Far above the sizes a
+# search finishes: the amenable command's unbounded walk visits half a
+# million sets of <14, 15> at r = 14, and the bounded distance search on
+# <16, 17> grows about 4x per 10 sizes past r = 40 (1.6 s for r 1..60 on
+# a 2-vCPU VM).  The bound refuses absurd sizes before the per-depth
+# tables are allocated.
 _MAX_SIZE = 10_000
 
 
@@ -140,7 +147,11 @@ def _size_range(r: int | range) -> range:
 
 
 def enumerate_amenable(
-    sgp: NumericalSemigroup, m: int, r: int | range
+    sgp: NumericalSemigroup,
+    m: int,
+    r: int | range,
+    *,
+    descend: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[Configuration]:
     """All (S, m, k)-amenable sets for k = r, or for every k in a range r.
 
@@ -149,6 +160,11 @@ def enumerate_amenable(
     Elements are kept as offsets from m in a bitmask.  ``need[t]`` has a
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
+
+    ``descend``, when given, is asked once for each prefix shorter than
+    the largest size, with the prefix's sorted elements, after the prefix
+    itself is yielded (if its size is asked for) and before any of its
+    extensions; when it returns false, none of them is visited.
     """
     check_base(sgp, m)
     sizes = _size_range(r)
@@ -203,6 +219,8 @@ def enumerate_amenable(
         prefix = prefixes[depth] + (m + t,)
         if depth >= first:
             yield trusted(m, prefix)
+        if descend is not None and not descend(prefix):
+            continue
         depth += 1
         prefixes[depth] = prefix
         masks[depth] = mask | (1 << t)
@@ -212,7 +230,11 @@ def enumerate_amenable(
 
 
 def shadow_representatives(
-    sgp: NumericalSemigroup, m: int, r: int | range
+    sgp: NumericalSemigroup,
+    m: int,
+    r: int | range,
+    *,
+    descend: Callable[[tuple[int, ...]], bool] | None = None,
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
@@ -220,11 +242,15 @@ def shadow_representatives(
     of that size in lexicographic order: each is L followed by elements
     >= m + n_e, so any set of that size sorted between two of them starts
     with L and continues above the ground as well.  Comparing each shadow
-    with the previous one of the same size is therefore enough.
+    with the previous one of the same size is therefore enough.  Cutting
+    subtrees with ``descend``, which is passed on to enumerate_amenable,
+    drops sets from the stream but keeps those of one shadow contiguous,
+    so each yielded set is the first of its shadow and size that the
+    search reached.
     """
     upper = m + sgp.largest_generator
     previous: dict[int, tuple[int, ...]] = {}  # size -> last shadow seen
-    for config in enumerate_amenable(sgp, m, r):
+    for config in enumerate_amenable(sgp, m, r, descend=descend):
         elements = config.elements
         key = elements[: bisect_left(elements, upper)]
         size = len(elements)

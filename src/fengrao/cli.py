@@ -20,7 +20,7 @@ import sys
 import time
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Callable, Iterable, Iterator, Sequence, TextIO
+from typing import Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
     _size_range,
@@ -30,7 +30,7 @@ from .amenable import (
     smallest_asymptotic_base,
 )
 from .distances import DEFAULT_SUBSET_CAP, brute_force_distance, feng_rao_distances
-from .divisors import divisors
+from .divisors import _element_masks, divisors
 from .errors import FengRaoError, InvalidInput, SearchSpaceTooLarge
 from .interval import (
     as_interval,
@@ -162,25 +162,27 @@ def _write_table(
         fh.write(text)
 
 
-def _render_number_grid(
-    sgp: NumericalSemigroup, lo: int, hi: int, mark: Callable[[int], str | None]
-) -> Iterator[str]:
+def _render_number_grid(sgp: NumericalSemigroup, lo: int, hi: int, marks: str) -> Iterator[str]:
     """Planified helix, line by line: one row per multiple of the multiplicity.
 
-    Each cell of S is the integer prefixed by its one-character marker
-    ``mark(n)``, a blank where that is None; gaps of S print in parentheses.
+    Each cell of S in [lo, hi] is the integer n prefixed by its
+    one-character marker ``marks[n - lo]``; gaps of S print in parentheses.
+    Every integer from the conductor c on is in S, so membership is read
+    from one mask of S ∩ [0, min(hi, c)].
     """
     a = sgp.multiplicity
     width = len(str(hi)) + 2
+    top = min(hi, sgp.conductor)
+    in_s = bin(_element_masks(sgp, top)[0] >> lo)[:1:-1].ljust(top - lo + 1, "0")  # n at n - lo
     for row_start in range((hi // a) * a, (lo // a) * a - 1, -a):
         cells = []
         for n in range(row_start, row_start + a):
             if n < lo or n > hi:
                 cells.append(" " * (width + 1))
-            elif not sgp.contains(n):
+            elif n <= top and in_s[n - lo] == "0":
                 cells.append(f"({n})".rjust(width + 1))
             else:
-                cells.append((mark(n) or " ") + str(n).rjust(width))
+                cells.append(marks[n - lo] + str(n).rjust(width))
         yield "".join(cells).rstrip() + "\n"
 
 
@@ -200,7 +202,7 @@ def _cmd_divisors(args: argparse.Namespace) -> int:
             _write_table(({"divisor": d} for d in dset), "csv", fh)
         else:
             marks = bin(dset.mask)[:1:-1].replace("0", " ").replace("1", "*")  # d at d
-            fh.writelines(_render_number_grid(sgp, 0, args.x, marks.__getitem__))
+            fh.writelines(_render_number_grid(sgp, 0, args.x, marks))
             fh.write(f"{len(dset)} divisors of {args.x} (marked *)\n")
     return EXIT_OK
 
@@ -305,12 +307,15 @@ def _cmd_amenable(args: argparse.Namespace) -> int:
     configs = enumerate(source(sgp, m, rs))
     with _output(args.out) as fh:
         if args.format == "ascii":
-            width = sgp.largest_generator
+            upper = m + sgp.largest_generator
             for i, config in configs:
-                marks = {x: "#" if x < m + width else "+" for x in config.elements}
+                top = config.elements[-1]
+                marks = [" "] * (top - m + 1)  # x at x - m
+                for x in config.elements:
+                    marks[x - m] = "#" if x < upper else "+"
                 fh.write("\n" if i else "")
                 fh.write(f"[{i}] " + " ".join(str(x) for x in config.elements) + "\n")
-                fh.writelines(_render_number_grid(sgp, m, max(config.elements), marks.get))
+                fh.writelines(_render_number_grid(sgp, m, top, "".join(marks)))
         else:
             rows = (
                 {

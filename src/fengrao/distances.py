@@ -6,14 +6,16 @@ an r-element configuration starting at or above m: an OR of the
 an optimal configuration can be chosen amenable, the count only depends
 on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
-A no-theory branch-and-bound search over all r-subsets, pruned by
-divisor counts alone, serves as the independent oracle.
+The search walks the amenable sets and cuts a subtree once its divisor
+count cannot beat the best one found for any requested size.  A
+no-theory branch-and-bound search over all r-subsets, pruned by divisor
+counts alone, serves as the independent oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import comb
+from math import comb, inf
 
 from .amenable import (
     Configuration,
@@ -58,47 +60,72 @@ def feng_rao_distances(
 ) -> list[FengRaoResult]:
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
-    The search to depth max(rs) passes every amenable set of each size in
-    rs, in lexicographic order, and keeps one per shadow and size.  The
+    The search to depth max(rs) walks the amenable sets of each size in
+    rs in lexicographic order and keeps one per shadow and size.  The
     divisor count of an amenable set M with shadow L splits as
     #D(M) = #(M \\ L) + #D(L), so the ground divisor sets are computed
-    once and each representative costs one union of those.  Each size
-    keeps its first minimum, the witness a search for that size alone
-    would give.
+    once, and the union and the count above the ground of each prefix
+    are kept per depth: each set costs one OR and one bit count.
+
+    Branch and bound: every element added to a prefix P of size k is
+    larger than all of P, so it is a new divisor, and a set of size r
+    under P has at least #D(P) + (r - k) divisors.  The extensions of P
+    are not visited once that is no less than the best count so far for
+    every requested r > k.  Only a strictly smaller count replaces the
+    best, so each size keeps its first minimum in lexicographic order,
+    the witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:
         return []
+    lo, hi = sizes.start, sizes[-1]
     upper = m + sgp.largest_generator
     # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
-    ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(sizes[-1]) + 1))
+    ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(hi) + 1))
 
-    best: dict[int, tuple[int, Configuration]] = {}  # size -> (count, witness)
-    for config in shadow_representatives(sgp, m, sizes):
-        elements = config.elements
-        union = 0
-        above = r = len(elements)
-        for x in elements:
-            if x >= upper:
-                break
+    # depth k: the ground divisor union and the count of elements above the
+    # ground of the last k-element prefix reached.  The walk asks descend
+    # about every prefix before its extensions, so the prefix of the set
+    # being counted is always the last one of its size.
+    unions = [0] * (hi + 1)
+    aboves = [0] * (hi + 1)
+
+    def count(elements: tuple[int, ...]) -> int:
+        k = len(elements)
+        x = elements[-1]
+        union, above = unions[k - 1], aboves[k - 1]
+        if x < upper:
             union |= ground_masks[x - m]
-            above -= 1
-        count = above + union.bit_count()
-        if r not in best or count < best[r][0]:
-            best[r] = (count, config)
-    results = []
-    for r in sizes:
-        delta, witness = best[r]
-        results.append(
-            FengRaoResult(
-                m=m,
-                r=r,
-                delta=delta,
-                e_number=delta - (m + 1 - 2 * sgp.genus),
-                witness=witness,
-            )
+        else:
+            above += 1
+        unions[k], aboves[k] = union, above
+        return above + union.bit_count()
+
+    best: list[float] = [inf] * (hi + 1)  # size -> least count so far
+    witnesses: list[Configuration | None] = [None] * (hi + 1)
+
+    def descend(prefix: tuple[int, ...]) -> bool:
+        k = len(prefix)
+        floor = count(prefix) - k  # a set of size r under prefix: >= floor + r
+        return any(floor + r < best[r] for r in range(max(k + 1, lo), hi + 1))
+
+    for config in shadow_representatives(sgp, m, sizes, descend=descend):
+        r = len(config)
+        c = count(config.elements)
+        if c < best[r]:
+            best[r] = c
+            witnesses[r] = config
+    offset = m + 1 - 2 * sgp.genus
+    return [
+        FengRaoResult(
+            m=m,
+            r=r,
+            delta=best[r],
+            e_number=best[r] - offset,
+            witness=witnesses[r],
         )
-    return results
+        for r in sizes
+    ]
 
 
 def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:

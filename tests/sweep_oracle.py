@@ -9,8 +9,10 @@ Part one compares the isqrt ``h_decompose`` with the block walk of
 ``interval_reference.py`` at every b <= 20, r <= 30,000.  Part two
 compares ``brute_force_distance`` at m = 2c - 1 with the interval closed
 form at every point of b < a <= amax, r <= rmax.  Part three compares it
-with the generic search on the test corpus, for r <= 8 at the bases
-2c - 1, ..., 2c + 5.  Part four compares the bitmask ``divisors`` with
+with the generic search on the test corpus at the bases 2c - 1, ...,
+2c + 5, for r <= 8 and, on the semigroups with conductor c <= 48, for
+every r <= c + 1 as well (brute force took 56 s for r = 40 alone on
+<11, 13>, c = 120).  Part four compares the bitmask ``divisors`` with
 the double loop {p <= x : p in S, x - p in S} at every element
 x <= 2c + 2n_e, ``divisors_above(y, x)`` with D(y) cut to [x, inf)
 at every c <= x <= y in that range, and ``divisors_of_set`` with the
@@ -52,6 +54,7 @@ NO_CAP = float("inf")
 DECOMPOSE_BMAX = 20
 DECOMPOSE_RMAX = 30_000
 CORPUS_RMAX = 8
+CORPUS_CMAX = 48  # r runs to c + 1 up to this conductor
 CORPUS_OFFSETS = range(7)
 DIVISORS_AMAX = 20
 TRIPLES = 20  # random element triples per semigroup
@@ -90,9 +93,12 @@ def sweep_generic() -> tuple[int, list[tuple]]:
     points, mismatches = 0, []
     for gens in CORPUS:
         s = from_generators(gens)
+        rmax = CORPUS_RMAX
+        if s.conductor <= CORPUS_CMAX:
+            rmax = max(rmax, s.conductor + 1)
         for offset in CORPUS_OFFSETS:
             m = smallest_asymptotic_base(s) + offset
-            for res in feng_rao_distances(s, m, range(1, CORPUS_RMAX + 1)):
+            for res in feng_rao_distances(s, m, range(1, rmax + 1)):
                 points += 1
                 brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
                 if brute.delta != res.delta:
@@ -168,8 +174,9 @@ def main(argv: list[str] | None = None) -> int:
            points, closed, time.perf_counter() - t0)
     t0 = time.perf_counter()
     points, generic = sweep_generic()
-    report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX}, "
-           f"m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}", points, generic, time.perf_counter() - t0)
+    report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX} "
+           f"(r <= c + 1 where c <= {CORPUS_CMAX}), m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}",
+           points, generic, time.perf_counter() - t0)
     t0 = time.perf_counter()
     points, cuts, unions, divs = sweep_divisors()
     report(f"bitmask divisors vs double loop ({points} x), divisors_above vs "

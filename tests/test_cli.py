@@ -1,6 +1,7 @@
 import io
 import json
 import os
+import random
 import subprocess
 import sys
 import tracemalloc
@@ -88,6 +89,21 @@ def test_number_auto_matches_generic_on_intervals(capsys):
     )
     pick = lambda text: [line.split(",")[2:4] for line in text.strip().splitlines()[1:]]
     assert pick(auto) == pick(generic)
+
+
+def test_generic_search_reaches_r_30_on_16_17(capsys):
+    # the search without a bound did not finish this in a minute
+    columns = []
+    for method in ("generic", "interval"):
+        code, out = run_cli(
+            capsys, "number", "--interval", "16,1", "--r", "1..30", "--method", method,
+            "--no-timing",
+        )
+        assert code == 0
+        columns.append([line.split(",")[:4] for line in out.strip().splitlines()])
+    assert columns[0][0] == ["r", "m", "delta", "e"]
+    assert len(columns[0]) == 31
+    assert columns[0] == columns[1]
 
 
 def test_number_all_methods_agree(capsys):
@@ -542,6 +558,23 @@ def test_divisors_streams_the_whole_set_rendering(fmt, monkeypatch, tmp_path):
     target = tmp_path / "out.txt"
     assert cli.main(argv + ["--out", str(target)]) == 0
     assert target.read_text() == expected
+
+
+def test_number_grid_equals_the_per_cell_renderer():
+    # the grid reads membership from one mask; the bytes are those of the
+    # per-cell contains() loop
+    rng = random.Random(16)
+    for s in corpus_semigroups() + [interval_semigroup(12, 1)]:
+        c, a = s.conductor, s.multiplicity
+        windows = [(0, 0), (0, max(c - 1, 0)), (0, c), (0, 2 * c + 3 * a), (c, c + a - 1),
+                   (2 * c + 1, 2 * c + 5 * a + 2), (max(c - 2, 0), c + 2 * a)]
+        for lo, hi in windows:
+            marks = "".join(rng.choice(" *#+") for _ in range(hi - lo + 1))
+            expected = render_number_grid(
+                s, lo, hi, {n: marks[n - lo] for n in range(lo, hi + 1)}
+            )
+            got = "".join(cli._render_number_grid(s, lo, hi, marks))
+            assert got == expected, (s.minimal_generators, lo, hi)
 
 
 def test_ascii_formats_render(capsys):

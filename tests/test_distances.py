@@ -1,10 +1,11 @@
 import importlib
 import random
-from itertools import combinations
+from itertools import combinations, islice
 from math import comb, gcd
 
 import pytest
 
+import fengrao.amenable as amenable
 import fengrao.distances as distances
 from fengrao import (
     InvalidInput,
@@ -22,7 +23,8 @@ from fengrao import (
     smallest_asymptotic_base,
 )
 
-from corpus import corpus_semigroups
+from corpus import corpus_semigroups, random_semigroups
+from search_reference import reference_distances
 
 # the package re-exports the function divisors under the module's name
 divisors_module = importlib.import_module("fengrao.divisors")
@@ -271,3 +273,70 @@ def test_oracle_equivalence_small():
                 feng_rao_distance(s, m, r).delta
                 == brute_force_distance(s, m, r).delta
             )
+
+
+def test_bounded_search_equals_the_unbounded_reference():
+    # delta and witness: the cut keeps the first minimum in lexicographic order
+    semigroups = [
+        s
+        for s in corpus_semigroups()
+        + [interval_semigroup(a, b) for a in range(2, 13) for b in range(1, a)]
+        + list(islice(random_semigroups(11), 60))
+        if s.multiplicity <= 13
+    ]
+    points = 0
+    for s in semigroups:
+        for m in (smallest_asymptotic_base(s), 2 * s.conductor + 2):
+            for rs in (range(1, 9), range(3, 7)):
+                got = feng_rao_distances(s, m, rs)
+                assert [(res.delta, res.witness.elements) for res in got] == (
+                    reference_distances(s, m, rs)
+                ), (s.minimal_generators, m, rs)
+                points += len(rs)
+    assert points == 2640
+
+
+# (amenable sets, shadow representatives) that the search draws at 2c-1
+# for r 1..14 on the benchmark's deep-r and wide-ground semigroups; with
+# no bound it drew 549,299 and 213,544 sets
+SEARCH_WORK = {(14, 15): (496, 270), tuple(range(16, 25)): (4691, 4678)}
+
+
+@pytest.mark.parametrize("gens", sorted(SEARCH_WORK), ids=lambda g: f"{g[0]}..{g[-1]}")
+def test_bounded_search_work_is_pinned(monkeypatch, gens):
+    drawn = {"sets": 0, "shadows": 0}
+
+    def counted(source, key):
+        def through(*args, **kwargs):
+            for config in source(*args, **kwargs):
+                drawn[key] += 1
+                yield config
+
+        return through
+
+    monkeypatch.setattr(
+        amenable, "enumerate_amenable", counted(amenable.enumerate_amenable, "sets")
+    )
+    monkeypatch.setattr(
+        distances, "shadow_representatives",
+        counted(distances.shadow_representatives, "shadows"),
+    )
+    s = from_generators(gens)
+    feng_rao_distances(s, smallest_asymptotic_base(s), range(1, 15))
+    assert (drawn["sets"], drawn["shadows"]) == SEARCH_WORK[gens]
+
+
+def test_generic_equals_brute_force_up_to_c_plus_1():
+    # a seeded sample of the semigroups with c <= 22 and multiplicity <= 10,
+    # at every r up to c + 1, against the uncapped oracle
+    sample = {}
+    for s in random_semigroups(16):
+        if s.conductor <= 22 and s.multiplicity <= 10:
+            sample.setdefault(s.minimal_generators, s)
+            if len(sample) == 160:
+                break
+    for s in sample.values():
+        m = smallest_asymptotic_base(s)
+        for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
+            brute = brute_force_distance(s, m, res.r, max_subsets=float("inf"))
+            assert res.delta == brute.delta, (s.minimal_generators, res.r)
