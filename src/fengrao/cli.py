@@ -9,6 +9,14 @@ divisors and amenable also render a planified grid, a line per write
 0 ok, 1 stdout closed by its reader, 2 input error (also an --out file
 that cannot be opened or written, and a grid --amax or --rmax above the
 guards), 3 cross-check disagreement, 4 search-space cap hit.
+
+Each ``main`` call builds only the parser of the command that argv names
+first, from the same table of commands as ``build_parser``'s whole tree,
+and prints what that tree prints.  The tree is built only for help, an
+unknown command or an argument the command does not take, whose errors
+carry the top-level usage.  No parser is kept between calls: a cache
+would help only callers that make many requests in one process, while a
+shell user pays the build on every run.
 """
 
 from __future__ import annotations
@@ -340,47 +348,38 @@ def _add_common(p: argparse.ArgumentParser) -> None:
     p.add_argument("--out", help="write output to this file instead of stdout")
 
 
-def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
-        prog="fengrao",
-        description="Divisor sets and Feng-Rao numbers of numerical semigroups",
-    )
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("divisors", help="divisors of a semigroup element")
+def _add_divisors(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--x", type=int, required=True)
     p.set_defaults(run=_cmd_divisors)
 
-    for name, help_text in [
-        ("distance", "r-th Feng-Rao distance at m"),
-        ("number", "r-th Feng-Rao number E(S, r)"),
-    ]:
-        p = sub.add_parser(name, help=help_text)
-        _add_common(p)
-        p.add_argument("--r", required=True, help="configuration size N or range lo..hi")
-        p.add_argument(
-            "--method",
-            choices=["auto", "generic", "interval", "brute", "all"],
-            default="auto",
-        )
-        p.add_argument("--m", type=int, default=None, help="base (default 2c-1)")
-        p.add_argument(
-            "--max-brute",
-            type=int,
-            default=DEFAULT_SUBSET_CAP,
-            help="exit 4 when brute force has more candidate subsets "
-            "C(rho_r, r-1) than this, counted before the search starts; the "
-            "pruned search visits at most that many",
-        )
-        p.add_argument(
-            "--no-timing",
-            action="store_true",
-            help="report elapsed_ms as 0.000 for byte-stable output",
-        )
-        p.set_defaults(run=_cmd_distance_like)
 
-    p = sub.add_parser("grid", help="E(r, <a..a+b>) over a parameter grid")
+def _add_distance_like(p: argparse.ArgumentParser) -> None:
+    _add_common(p)
+    p.add_argument("--r", required=True, help="configuration size N or range lo..hi")
+    p.add_argument(
+        "--method",
+        choices=["auto", "generic", "interval", "brute", "all"],
+        default="auto",
+    )
+    p.add_argument("--m", type=int, default=None, help="base (default 2c-1)")
+    p.add_argument(
+        "--max-brute",
+        type=int,
+        default=DEFAULT_SUBSET_CAP,
+        help="exit 4 when brute force has more candidate subsets "
+        "C(rho_r, r-1) than this, counted before the search starts; the "
+        "pruned search visits at most that many",
+    )
+    p.add_argument(
+        "--no-timing",
+        action="store_true",
+        help="report elapsed_ms as 0.000 for byte-stable output",
+    )
+    p.set_defaults(run=_cmd_distance_like)
+
+
+def _add_grid(p: argparse.ArgumentParser) -> None:
     p.add_argument("--amax", type=int, required=True)
     p.add_argument("--bmax", type=int, required=True)
     p.add_argument("--rmax", type=int, required=True)
@@ -388,19 +387,57 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--out")
     p.set_defaults(run=_cmd_grid)
 
-    p = sub.add_parser("amenable", help="list amenable sets or shadow representatives")
+
+def _add_amenable(p: argparse.ArgumentParser) -> None:
     _add_common(p)
     p.add_argument("--r", required=True)
     p.add_argument("--m", type=int, default=None)
     p.add_argument("--representatives", action="store_true")
     p.set_defaults(run=_cmd_amenable)
 
+
+# command name -> (its line in the top-level help, the filler of its parser)
+_COMMANDS = {
+    "divisors": ("divisors of a semigroup element", _add_divisors),
+    "distance": ("r-th Feng-Rao distance at m", _add_distance_like),
+    "number": ("r-th Feng-Rao number E(S, r)", _add_distance_like),
+    "grid": ("E(r, <a..a+b>) over a parameter grid", _add_grid),
+    "amenable": ("list amenable sets or shadow representatives", _add_amenable),
+}
+
+
+def build_parser() -> argparse.ArgumentParser:
+    """The whole command tree: the top-level parser and one subparser per command."""
+    parser = argparse.ArgumentParser(
+        prog="fengrao",
+        description="Divisor sets and Feng-Rao numbers of numerical semigroups",
+    )
+    sub = parser.add_subparsers(dest="command", required=True)
+    for name, (help_text, add_arguments) in _COMMANDS.items():
+        add_arguments(sub.add_parser(name, help=help_text))
     return parser
 
 
+def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
+    """Parse argv with the parser of the command it names first, built alone.
+
+    The whole tree passes everything after the command name, unchanged, to
+    a subparser named "fengrao <command>", so this parser prints the same
+    help and errors.  Arguments it leaves over, the whole tree reports under
+    the top-level usage; then, and when argv names no command, the whole
+    tree parses argv.
+    """
+    if argv and argv[0] in _COMMANDS:
+        parser = argparse.ArgumentParser(prog=f"fengrao {argv[0]}")
+        _COMMANDS[argv[0]][1](parser)
+        args, rest = parser.parse_known_args(argv[1:])
+        if not rest:
+            return args
+    return build_parser().parse_args(argv)
+
+
 def main(argv: Sequence[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = _parse_args(sys.argv[1:] if argv is None else argv)
     try:
         code = args.run(args)
         sys.stdout.flush()  # a closed pipe shows here, not at exit

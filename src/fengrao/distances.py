@@ -103,18 +103,33 @@ def feng_rao_distances(
 
     best: list[float] = [inf] * (hi + 1)  # size -> least count so far
     witnesses: list[Configuration | None] = [None] * (hi + 1)
+    # cut[k]: the largest best[r] - r over requested r > k.  A set of size
+    # r under a k-element prefix P has at least #D(P) - k + r divisors, so
+    # the extensions of P are worth visiting only if #D(P) - k < cut[k]
+    cut: list[float] = [inf] * hi
+    # the set the loop below counted last, and its count: the walker asks
+    # descend about a prefix right after yielding it, as the same tuple
+    counted: tuple[int, ...] = ()
+    counted_c = 0
 
     def descend(prefix: tuple[int, ...]) -> bool:
+        c = counted_c if prefix is counted else count(prefix)
         k = len(prefix)
-        floor = count(prefix) - k  # a set of size r under prefix: >= floor + r
-        return any(floor + r < best[r] for r in range(max(k + 1, lo), hi + 1))
+        return c - k < cut[k]
 
     for config in shadow_representatives(sgp, m, sizes, descend=descend):
-        r = len(config)
-        c = count(config.elements)
+        counted = config.elements
+        r = len(counted)
+        counted_c = c = count(counted)
         if c < best[r]:
             best[r] = c
             witnesses[r] = config
+            # only cut[k] for k < r can change: a suffix maximum down from r
+            top = cut[r] if r < hi else -inf
+            for k in range(r - 1, -1, -1):
+                if k + 1 >= lo:
+                    top = max(top, best[k + 1] - k - 1)
+                cut[k] = top
     offset = m + 1 - 2 * sgp.genus
     return [
         FengRaoResult(

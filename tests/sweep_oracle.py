@@ -24,6 +24,14 @@ conductor in each eighth of (0, 2,000], so both branches of the mask
 builder (below c and from c on) are swept at scale.  Each part prints
 its range, point count, mismatches and wall time; the exit code is 1 on
 any mismatch.  No subset cap applies: the sweep wants every point answered.
+
+Part five is an observation, not a check, and never sets the exit code:
+it prints every semigroup where E(S, c) != rho_c, one size below the
+r >= c + 1 where E = rho_r is known, and, kept apart, every one where
+E(S, c - 1) != rho_(c-1), which fails on <a..2a-1>.  It reads E from the
+closed form on <a..a+b> with b < a <= amax, and from the generic search
+on the corpus and on the semigroups with c <= 60 among the first 3,000
+of a seeded random stream.
 """
 
 from __future__ import annotations
@@ -38,6 +46,7 @@ from corpus import CORPUS, random_semigroups
 from interval_reference import block_walk_decompose
 
 from fengrao import (
+    as_interval,
     brute_force_distance,
     divisors,
     divisors_above,
@@ -60,6 +69,8 @@ DIVISORS_AMAX = 20
 TRIPLES = 20  # random element triples per semigroup
 RANDOM_SEMIGROUPS = 8
 RANDOM_CMAX = 2_000
+OBSERVE_CMAX = 60
+OBSERVE_DRAWS = 3_000
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -152,6 +163,34 @@ def sweep_divisors() -> tuple[int, int, int, list[tuple]]:
     return points, cuts, unions, mismatches
 
 
+def observe_rho_at_conductor(amax: int) -> tuple[int, list[tuple], list[tuple]]:
+    """The semigroups with E(S, c) != rho_c and those with E(S, c - 1) != rho_(c-1)."""
+    numbers = {}  # generators -> (E(S, c - 1), E(S, c), the semigroup)
+    for a in range(2, amax + 1):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            c = s.conductor
+            numbers[s.minimal_generators] = (
+                interval_feng_rao_number(a, b, c - 1), interval_feng_rao_number(a, b, c), s,
+            )
+    draws = [from_generators(gens) for gens in CORPUS]
+    draws += [s for _, s in zip(range(OBSERVE_DRAWS), random_semigroups(16))]
+    for s in draws:
+        c = s.conductor
+        if c < 2 or c > OBSERVE_CMAX or as_interval(s) or s.minimal_generators in numbers:
+            continue
+        below, at = feng_rao_distances(s, smallest_asymptotic_base(s), range(c - 1, c + 1))
+        numbers[s.minimal_generators] = (below.e_number, at.e_number, s)
+    at_c, below_c = [], []
+    for gens, (below, at, s) in numbers.items():
+        c = s.conductor
+        if at != s.rho(c):
+            at_c.append((gens, c, at, s.rho(c)))
+        if below != s.rho(c - 1):
+            below_c.append((gens, c - 1, below, s.rho(c - 1)))
+    return len(numbers), at_c, below_c
+
+
 def report(label: str, points: int, mismatches: list[tuple], seconds: float) -> None:
     print(f"{label}: {points} points, {len(mismatches)} mismatches, {seconds:.1f} s")
     for mismatch in mismatches:
@@ -185,6 +224,16 @@ def main(argv: list[str] | None = None) -> int:
            f"<a..a+b> with b < a <= {DIVISORS_AMAX} and {RANDOM_SEMIGROUPS} random "
            f"semigroups with c <= {RANDOM_CMAX}",
            points + cuts + unions, divs, time.perf_counter() - t0)
+    t0 = time.perf_counter()
+    points, at_c, below_c = observe_rho_at_conductor(args.amax)
+    print(f"observed: E(S, c) = rho_c on {points - len(at_c)} of {points} semigroups "
+          f"(<a..a+b> with b < a <= {args.amax}, corpus, c <= {OBSERVE_CMAX} among "
+          f"{OBSERVE_DRAWS} random), {time.perf_counter() - t0:.1f} s")
+    for gens, r, e, rho in at_c:
+        print(f"  counterexample {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
+    print(f"observed: E(S, c - 1) = rho_(c-1) on {points - len(below_c)} of {points}")
+    for gens, r, e, rho in below_c:
+        print(f"  miss {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
     return 1 if decomposed or closed or generic or divs else 0
 
 

@@ -747,3 +747,66 @@ def test_golden_outputs(name, fmt, capsys):
     assert code == 0
     expected = (GOLDEN / f"{name}.{fmt}").read_bytes()
     assert out.encode() == expected
+
+
+def main_outcome(argv, capsys):
+    """Exit code, stdout and stderr of one cli.main call, argparse exits included."""
+    try:
+        code = cli.main(argv)
+    except SystemExit as exc:
+        code = exc.code
+    return (code, *capsys.readouterr())
+
+
+PARSE_CASES = [
+    [],
+    ["-h"],
+    ["bogus"],
+    ["num"],
+    *[[name, "-h"] for name in ("divisors", "distance", "number", "grid", "amenable")],
+    ["number", "--gens", "4,5"],
+    ["number", "--gens", "4,5", "--interval", "4,1", "--r", "2"],
+    ["number", "--gens", "4,5", "--r", "2", "--method", "fast"],
+    ["number", "--gens", "4,5", "--r", "2", "--m", "x"],
+    ["number", "--gens", "4,5", "--r", "2", "--foo"],
+    ["divisors", "--gens", "4,5", "--x", "9", "stray"],
+    ["grid", "--amax", "4", "--bmax", "2", "--rmax", "3", "--out"],
+    ["amenable", "--gens", "4,5", "--r", "2", "--foo", "-h"],
+    ["number", "--interval", "4,1", "--r", "1..3", "--no-timing"],
+    ["distance", "--gens", "4,5", "--r=2", "--m", "23", "--no-timing"],
+    ["grid", "--amax", "4", "--bmax", "2", "--rmax", "3", "--format", "ascii"],
+    ["amenable", "--gens", "4,5", "--r", "2", "--repr"],
+]
+
+
+@pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
+def test_command_parser_prints_what_the_whole_tree_prints(argv, monkeypatch, capsys):
+    # main parses with the named command's parser alone; the whole tree
+    # must give the same exit code, stdout and stderr, byte for byte
+    alone = main_outcome(argv, capsys)
+    monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
+    assert main_outcome(argv, capsys) == alone
+
+
+def test_valid_requests_do_not_build_the_whole_tree(monkeypatch, capsys):
+    number = GOLDEN_COMMANDS["number_4_1_r1to5_all"]
+    requests = [
+        (number, GOLDEN / "number_4_1_r1to5_all.csv"),
+        (["distance", *number[1:]], GOLDEN / "number_4_1_r1to5_all.csv"),
+        (GOLDEN_COMMANDS["divisors_9_13_15_x60"], GOLDEN / "divisors_9_13_15_x60.csv"),
+        (GOLDEN_COMMANDS["grid_a6_b3_r8"], GOLDEN / "grid_a6_b3_r8.csv"),
+    ]
+
+    def whole_tree():
+        raise AssertionError("build_parser called")
+
+    monkeypatch.setattr(cli, "build_parser", whole_tree)
+    for argv, golden in requests:
+        assert main_outcome(argv, capsys) == (0, golden.read_text(), ""), argv
+    amenable = ["amenable", "--gens", "4,5", "--r", "2"]
+    listing = "index,count,elements\n0,2,23 24\n1,2,23 25\n2,2,23 26\n3,2,23 27\n"
+    assert main_outcome(amenable, capsys) == (0, listing, "")
+    # help, an unknown command and an unrecognized argument go to the whole tree
+    for argv in (["-h"], ["bogus"], ["divisors", "--gens", "4,5", "--x", "9", "--foo"]):
+        with pytest.raises(AssertionError, match="build_parser called"):
+            cli.main(argv)
