@@ -18,10 +18,12 @@ so one search to depth hi passes every amenable set of each size up to
 hi; given a range of sizes, it yields each set of a requested size when
 it reaches it, before its extensions, which is lexicographic order.
 Sizes above ``_MAX_SIZE`` are refused before the per-depth tables exist.
-A caller may bound the walk with a ``descend`` predicate, asked about
-each prefix before its extensions; the distance search uses it to cut
-subtrees whose divisor count cannot beat the best found, and the
-``amenable`` command walks the whole tree.
+A caller may bound the walk with an ``admit`` hook, asked about each
+candidate that passes the mask test before any tuple is built for it; a
+refused candidate is neither yielded nor extended.  The distance search
+uses it to drop every set whose divisor count cannot beat the best
+found, for its own size or through its extensions, and the ``amenable``
+command walks the whole tree.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
@@ -45,9 +47,9 @@ from .semigroup import NumericalSemigroup
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> grows about 4x per 10 sizes past r = 40 (1.6 s for r 1..60 on
-# a 2-vCPU VM).  The bound refuses absurd sizes before the per-depth
-# tables are allocated.
+# <16, 17> grows about 4x per 10 sizes past r = 40 (0.8 to 0.9 s for
+# r 1..60 on a 2-vCPU Xeon VM).  The bound refuses absurd sizes before
+# the per-depth tables are allocated.
 _MAX_SIZE = 10_000
 
 
@@ -151,7 +153,7 @@ def enumerate_amenable(
     m: int,
     r: int | range,
     *,
-    descend: Callable[[tuple[int, ...]], bool] | None = None,
+    admit: Callable[[int, int], bool] | None = None,
 ) -> Iterator[Configuration]:
     """All (S, m, k)-amenable sets for k = r, or for every k in a range r.
 
@@ -161,10 +163,14 @@ def enumerate_amenable(
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
 
-    ``descend``, when given, is asked once for each prefix shorter than
-    the largest size, with the prefix's sorted elements, after the prefix
-    itself is yielded (if its size is asked for) and before any of its
-    extensions; when it returns false, none of them is visited.
+    ``admit``, when given, is asked ``admit(k, x)`` once for each
+    candidate set that passes the mask test, of every size k up to the
+    largest, where x is its largest element, before the set is built,
+    yielded or extended; when it returns false, the set is dropped with
+    all its extensions.  A candidate is asked about only while its
+    (k-1)-element prefix is the last set of that size admitted, and a
+    set is yielded right after it is admitted, so the hook can keep
+    per-size state that describes the prefix and the yielded set.
     """
     check_base(sgp, m)
     sizes = _size_range(r)
@@ -198,18 +204,19 @@ def enumerate_amenable(
     while depth >= 0:
         mask = masks[depth]
         bound = bounds[depth]
+        size = depth + 1  # the size of a candidate at this depth
         if depth == last:
             prefix = prefixes[depth]
             for t in range(nexts[depth], bound + 1):
                 req = need[t]
-                if mask & req == req:
+                if mask & req == req and (admit is None or admit(size, m + t)):
                     yield trusted(m, prefix + (m + t,))
             depth -= 1
             continue
         t = nexts[depth]
         while t <= bound:
             req = need[t]
-            if mask & req == req:
+            if mask & req == req and (admit is None or admit(size, m + t)):
                 break
             t += 1
         else:
@@ -219,8 +226,6 @@ def enumerate_amenable(
         prefix = prefixes[depth] + (m + t,)
         if depth >= first:
             yield trusted(m, prefix)
-        if descend is not None and not descend(prefix):
-            continue
         depth += 1
         prefixes[depth] = prefix
         masks[depth] = mask | (1 << t)
@@ -234,7 +239,7 @@ def shadow_representatives(
     m: int,
     r: int | range,
     *,
-    descend: Callable[[tuple[int, ...]], bool] | None = None,
+    admit: Callable[[int, int], bool] | None = None,
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
@@ -242,15 +247,19 @@ def shadow_representatives(
     of that size in lexicographic order: each is L followed by elements
     >= m + n_e, so any set of that size sorted between two of them starts
     with L and continues above the ground as well.  Comparing each shadow
-    with the previous one of the same size is therefore enough.  Cutting
-    subtrees with ``descend``, which is passed on to enumerate_amenable,
-    drops sets from the stream but keeps those of one shadow contiguous,
-    so each yielded set is the first of its shadow and size that the
-    search reached.
+    with the previous one of the same size is therefore enough.  An
+    ``admit`` hook, passed on to enumerate_amenable, drops sets from the
+    stream and keeps those of one shadow and size contiguous, so each
+    yielded set is the first of its shadow and size that the hook
+    admitted.  The distance search's hook answers from the divisor count,
+    which the sets of one shadow and size share, against thresholds that
+    only fall: a refused first set means its whole group is refused, so
+    each set it draws is also the first of its group in lexicographic
+    order.
     """
     upper = m + sgp.largest_generator
     previous: dict[int, tuple[int, ...]] = {}  # size -> last shadow seen
-    for config in enumerate_amenable(sgp, m, r, descend=descend):
+    for config in enumerate_amenable(sgp, m, r, admit=admit):
         elements = config.elements
         key = elements[: bisect_left(elements, upper)]
         size = len(elements)

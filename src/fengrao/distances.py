@@ -6,8 +6,9 @@ an r-element configuration starting at or above m: an OR of the
 an optimal configuration can be chosen amenable, the count only depends
 on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
-The search walks the amenable sets and cuts a subtree once its divisor
-count cannot beat the best one found for any requested size.  A
+The search walks the amenable sets and refuses each candidate, before it
+is built, whose divisor count cannot beat the best one found, for its
+own size or any larger requested one; its extensions go with it.  A
 no-theory branch-and-bound search over all r-subsets, pruned by divisor
 counts alone, serves as the independent oracle.
 """
@@ -67,13 +68,19 @@ def feng_rao_distances(
     once, and the union and the count above the ground of each prefix
     are kept per depth: each set costs one OR and one bit count.
 
-    Branch and bound: every element added to a prefix P of size k is
+    Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size r
-    under P has at least #D(P) + (r - k) divisors.  The extensions of P
-    are not visited once that is no less than the best count so far for
-    every requested r > k.  Only a strictly smaller count replaces the
-    best, so each size keeps its first minimum in lexicographic order,
-    the witness the unbounded search gives.
+    under P has at least #D(P) + (r - k) divisors.  The walker asks the
+    ``admit`` hook about each candidate before it builds it, and the hook
+    counts it from its prefix's union and refuses it, with all its
+    extensions, unless the count beats the best so far for its own size
+    or leaves room to beat it for some requested r > k.  A refused set's
+    extensions could not win, so nothing else cuts a subtree.  Sets of one
+    shadow and size share one count and the thresholds only fall, so a
+    refused first set means its whole shadow group is refused, and the
+    dedup still draws the first of each.  Only a strictly smaller count
+    replaces the best, so each size keeps its first minimum in
+    lexicographic order, the witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:
@@ -83,53 +90,47 @@ def feng_rao_distances(
     # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
     ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(hi) + 1))
 
-    # depth k: the ground divisor union and the count of elements above the
-    # ground of the last k-element prefix reached.  The walk asks descend
-    # about every prefix before its extensions, so the prefix of the set
-    # being counted is always the last one of its size.
+    # size k: the ground divisor union, the count of elements above the
+    # ground and the divisor count of the last k-element set admitted.  The
+    # walker asks admit about a k-element set only while its (k-1)-prefix is
+    # the last one admitted, and yields a set right after admitting it, so
+    # counts[r] is the count of the set the loop below reads.
     unions = [0] * (hi + 1)
     aboves = [0] * (hi + 1)
+    counts = [0] * (hi + 1)
+    # thr[k]: a k-element set is kept only if its count is below thr[k]
+    thr: list[float] = [inf] * (hi + 1)
 
-    def count(elements: tuple[int, ...]) -> int:
-        k = len(elements)
-        x = elements[-1]
+    def admit(k: int, x: int) -> bool:
         union, above = unions[k - 1], aboves[k - 1]
         if x < upper:
             union |= ground_masks[x - m]
         else:
             above += 1
-        unions[k], aboves[k] = union, above
-        return above + union.bit_count()
+        c = above + union.bit_count()
+        if c >= thr[k]:
+            return False
+        unions[k], aboves[k], counts[k] = union, above, c
+        return True
 
-    best: list[float] = [inf] * (hi + 1)  # size -> least count so far
+    # size -> least count so far; -inf for the sizes below lo, which no set
+    # of theirs can improve
+    best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
     witnesses: list[Configuration | None] = [None] * (hi + 1)
-    # cut[k]: the largest best[r] - r over requested r > k.  A set of size
-    # r under a k-element prefix P has at least #D(P) - k + r divisors, so
-    # the extensions of P are worth visiting only if #D(P) - k < cut[k]
-    cut: list[float] = [inf] * hi
-    # the set the loop below counted last, and its count: the walker asks
-    # descend about a prefix right after yielding it, as the same tuple
-    counted: tuple[int, ...] = ()
-    counted_c = 0
-
-    def descend(prefix: tuple[int, ...]) -> bool:
-        c = counted_c if prefix is counted else count(prefix)
-        k = len(prefix)
-        return c - k < cut[k]
-
-    for config in shadow_representatives(sgp, m, sizes, descend=descend):
-        counted = config.elements
-        r = len(counted)
-        counted_c = c = count(counted)
+    for config in shadow_representatives(sgp, m, sizes, admit=admit):
+        r = len(config.elements)
+        c = counts[r]
         if c < best[r]:
             best[r] = c
             witnesses[r] = config
-            # only cut[k] for k < r can change: a suffix maximum down from r
-            top = cut[r] if r < hi else -inf
-            for k in range(r - 1, -1, -1):
-                if k + 1 >= lo:
-                    top = max(top, best[k + 1] - k - 1)
-                cut[k] = top
+            # a k-element set is worth keeping if it beats best[k], or if a
+            # set of some requested size j > k under it may beat best[j]:
+            # those have at least count + (j - k) divisors.  top is the
+            # largest best[j] - j over requested j > k
+            top = -inf
+            for k in range(hi, 0, -1):
+                thr[k] = max(best[k], top + k)
+                top = max(top, best[k] - k)
     offset = m + 1 - 2 * sgp.genus
     return [
         FengRaoResult(

@@ -188,6 +188,71 @@ def test_range_form_equals_per_size_searches():
                     assert [e for e in got if len(e) == k] == alone, (gens, k)
 
 
+class PathHook:
+    """An admit hook that rebuilds each candidate from the per-size state.
+
+    It keeps the last admitted set of each size, as a hook answering from
+    per-size state must, and records every question.  ``refuse`` names
+    the candidates it turns down.
+    """
+
+    def __init__(self, refuse=()):
+        self.refuse = set(refuse)
+        self.asked = []
+        self.last = {0: ()}
+
+    def __call__(self, k, x):
+        self.asked.append((k, x))
+        candidate = self.last[k - 1] + (x,)
+        if candidate in self.refuse:
+            return False
+        self.last[k] = candidate
+        return True
+
+
+def test_always_true_hook_gives_the_unhooked_stream():
+    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
+        s = from_generators(gens)
+        m = smallest_asymptotic_base(s)
+        for sizes in (rmax, range(1, rmax + 1), range(3, rmax + 1)):
+            for source in (enumerate_amenable, shadow_representatives):
+                hooked = list(source(s, m, sizes, admit=lambda k, x: True))
+                assert hooked == list(source(s, m, sizes)), (gens, sizes)
+
+
+def test_hook_is_asked_once_per_candidate_before_its_yield():
+    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
+        s = from_generators(gens)
+        m = smallest_asymptotic_base(s)
+        # every amenable set of size 1..rmax is a candidate, in order
+        every = [c.elements for c in enumerate_amenable(s, m, range(1, rmax + 1))]
+        for sizes in (rmax, range(1, rmax + 1), range(3, rmax + 1)):
+            hook = PathHook()
+            for config in enumerate_amenable(s, m, sizes, admit=hook):
+                # the set is yielded right after it is admitted, and the
+                # per-size state describes it
+                elements = config.elements
+                assert hook.asked[-1] == (len(elements), elements[-1])
+                assert hook.last[len(elements)] == elements
+            assert hook.asked == [(len(e), e[-1]) for e in every], (gens, sizes)
+
+
+def test_refused_candidate_drops_its_extensions():
+    s = from_generators([5, 6, 7])
+    m = smallest_asymptotic_base(s)
+    sizes = range(1, 6)
+    every = [c.elements for c in enumerate_amenable(s, m, sizes)]
+    for refused in [e for e in every if len(e) in (2, 3)]:
+        hook = PathHook(refuse=[refused])
+        got = [c.elements for c in enumerate_amenable(s, m, sizes, admit=hook)]
+        assert got == [e for e in every if e[: len(refused)] != refused], refused
+        # it is asked about, and none of its extensions is
+        k = len(refused)
+        assert hook.asked == [
+            (len(e), e[-1]) for e in every if len(e) == k or e[:k] != refused
+        ], refused
+
+
 def test_size_bound_refuses_before_allocating(monkeypatch):
     class Allocated(Exception):
         pass

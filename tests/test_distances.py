@@ -296,21 +296,42 @@ def test_bounded_search_equals_the_unbounded_reference():
     assert points == 2640
 
 
-# (amenable sets, shadow representatives) that the search draws at 2c-1
-# for r 1..14 on the benchmark's deep-r and wide-ground semigroups; with
-# no bound it drew 549,299 and 213,544 sets
-SEARCH_WORK = {(14, 15): (496, 270), tuple(range(16, 25)): (4691, 4678)}
+# (candidates the admit hook is asked about, amenable sets, shadow
+# representatives) that the search draws at 2c-1 for r 1..14 on the
+# benchmark's deep-r and wide-ground semigroups, and summed for r 1..12
+# over the acceptance grid b < a <= 12.  With no bound the two first drew
+# 549,299 and 213,544 sets; cutting after each prefix was yielded drew
+# 496 and 4,691
+SEARCH_WORK = {
+    "14..15": ([(14, 15)], 14, (496, 130, 116)),
+    "16..24": ([tuple(range(16, 25))], 14, (4691, 557, 556)),
+    "grid": (
+        [tuple(range(a, a + b + 1)) for a in range(2, 13) for b in range(1, a)],
+        12,
+        (39483, 10029, 9773),
+    ),
+}
 
 
-@pytest.mark.parametrize("gens", sorted(SEARCH_WORK), ids=lambda g: f"{g[0]}..{g[-1]}")
-def test_bounded_search_work_is_pinned(monkeypatch, gens):
-    drawn = {"sets": 0, "shadows": 0}
+@pytest.mark.parametrize("case", sorted(SEARCH_WORK))
+def test_bounded_search_work_is_pinned(monkeypatch, case):
+    work = {"asked": 0, "sets": 0, "shadows": 0}
 
     def counted(source, key):
         def through(*args, **kwargs):
             for config in source(*args, **kwargs):
-                drawn[key] += 1
+                work[key] += 1
                 yield config
+
+        return through
+
+    def asked(source):
+        def through(*args, admit, **kwargs):
+            def counted_admit(k, x):
+                work["asked"] += 1
+                return admit(k, x)
+
+            return source(*args, admit=counted_admit, **kwargs)
 
         return through
 
@@ -319,11 +340,13 @@ def test_bounded_search_work_is_pinned(monkeypatch, gens):
     )
     monkeypatch.setattr(
         distances, "shadow_representatives",
-        counted(distances.shadow_representatives, "shadows"),
+        asked(counted(distances.shadow_representatives, "shadows")),
     )
-    s = from_generators(gens)
-    feng_rao_distances(s, smallest_asymptotic_base(s), range(1, 15))
-    assert (drawn["sets"], drawn["shadows"]) == SEARCH_WORK[gens]
+    gens_list, rmax, expected = SEARCH_WORK[case]
+    for gens in gens_list:
+        s = from_generators(gens)
+        feng_rao_distances(s, smallest_asymptotic_base(s), range(1, rmax + 1))
+    assert (work["asked"], work["sets"], work["shadows"]) == expected
 
 
 def test_generic_equals_brute_force_up_to_c_plus_1():
