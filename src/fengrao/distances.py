@@ -6,11 +6,16 @@ an r-element configuration starting at or above m: an OR of the
 an optimal configuration can be chosen amenable, the count only depends
 on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
-The search walks the amenable sets and refuses each candidate, before it
-is built, whose divisor count cannot beat the best one found, for its
-own size or any larger requested one; its extensions go with it.  A
-no-theory branch-and-bound search over all r-subsets, pruned by divisor
-counts alone, serves as the independent oracle.
+For such m every divisor at or below m - c divides every element, and
+the rest of D(M) depends on the offsets x - m alone: with t = max(M) - m,
+#D(M) = (m - c + 1 - g) + t + popcount(U >> t), where U ORs R << (x - m)
+over x in M and R has bit c - 1 - s for each element s < c.  The search
+counts in that frame of c + t bits, whatever m is.  It walks the amenable
+sets and refuses each candidate, before it is built, whose count cannot
+beat the best one found, for its own size or any larger requested one;
+its extensions go with it.  A no-theory branch-and-bound search over all
+r-subsets, pruned by the counts of full divisor masks alone, is the
+independent oracle, of the frame identity too.
 """
 
 from __future__ import annotations
@@ -25,7 +30,7 @@ from .amenable import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .divisors import _divisor_masks
+from .divisors import _divisor_masks, _element_masks
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup
 
@@ -62,11 +67,11 @@ def feng_rao_distances(
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
     The search to depth max(rs) walks the amenable sets of each size in
-    rs in lexicographic order and keeps one per shadow and size.  The
-    divisor count of an amenable set M with shadow L splits as
-    #D(M) = #(M \\ L) + #D(L), so the ground divisor sets are computed
-    once, and the union and the count above the ground of each prefix
-    are kept per depth: each set costs one OR and one bit count.
+    rs in lexicographic order and keeps one per shadow and size.  Bit i
+    of the frame stands for m - c + 1 + i: for x = m + t, D(x) is all of
+    S up to m - c, then the bits [0, t) and R << t.  Each prefix keeps the
+    OR U of its R << t, so a set costs one OR and one bit count, and the
+    m - c + 1 - g divisors every set shares are added once, to the results.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size r
@@ -86,31 +91,24 @@ def feng_rao_distances(
     if not sizes:
         return []
     lo, hi = sizes.start, sizes[-1]
-    upper = m + sgp.largest_generator
-    # an amenable set has m_i <= m + rho_i: masks past m + rho(max(rs)) go unread
-    ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(hi) + 1))
+    rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R of the docstring
 
-    # size k: the ground divisor union, the count of elements above the
-    # ground and the divisor count of the last k-element set admitted.  The
-    # walker asks admit about a k-element set only while its (k-1)-prefix is
-    # the last one admitted, and yields a set right after admitting it, so
-    # counts[r] is the count of the set the loop below reads.
+    # size k: the frame union and the frame count of the last k-element set
+    # admitted.  The walker asks admit about a k-element set only while its
+    # (k-1)-prefix is the last one admitted, and yields a set right after
+    # admitting it, so counts[r] is the count of the set the loop below reads.
     unions = [0] * (hi + 1)
-    aboves = [0] * (hi + 1)
     counts = [0] * (hi + 1)
     # thr[k]: a k-element set is kept only if its count is below thr[k]
     thr: list[float] = [inf] * (hi + 1)
 
     def admit(k: int, x: int) -> bool:
-        union, above = unions[k - 1], aboves[k - 1]
-        if x < upper:
-            union |= ground_masks[x - m]
-        else:
-            above += 1
-        c = above + union.bit_count()
-        if c >= thr[k]:
+        t = x - m
+        union = unions[k - 1] | (rev << t)
+        count = t + (union >> t).bit_count()
+        if count >= thr[k]:
             return False
-        unions[k], aboves[k], counts[k] = union, above, c
+        unions[k], counts[k] = union, count
         return True
 
     # size -> least count so far; -inf for the sizes below lo, which no set
@@ -131,13 +129,14 @@ def feng_rao_distances(
             for k in range(hi, 0, -1):
                 thr[k] = max(best[k], top + k)
                 top = max(top, best[k] - k)
+    shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
     offset = m + 1 - 2 * sgp.genus
     return [
         FengRaoResult(
             m=m,
             r=r,
-            delta=best[r],
-            e_number=best[r] - offset,
+            delta=shared + best[r],
+            e_number=shared + best[r] - offset,
             witness=witnesses[r],
         )
         for r in sizes

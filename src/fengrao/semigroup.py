@@ -32,8 +32,7 @@ from .errors import InvalidInput
 _MAX_MULTIPLICITY = 1_000
 _MAX_CONDUCTOR_BOUND = 1_000_000
 # Largest x a divisor mask is built up to, checked before its x + 1 bits
-# exist.  The generic search at m = 2c - 1 builds up to m + n_e - 1, and
-# n_e <= F + a_1, so within the guards above that stays below 3 * 10^6 + 10^3.
+# exist.
 _MAX_ELEMENT = 4_000_000
 
 _DIGITS = bytes.maketrans(b"\x00\x01", b"01")  # a flag byte to a binary digit

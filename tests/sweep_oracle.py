@@ -12,7 +12,10 @@ form at every point of b < a <= amax, r <= rmax.  Part three compares it
 with the generic search on the test corpus at the bases 2c - 1, ...,
 2c + 5, for r <= 8 and, on the semigroups with conductor c <= 48, for
 every r <= c + 1 as well (brute force took 56 s for r = 40 alone on
-<11, 13>, c = 120).  Part four compares the bitmask ``divisors`` with
+<11, 13>, c = 120).  For the same semigroups and sizes it also runs the
+generic search at m = 2c - 1 + 10^6, past the element guard of the
+divisor masks, and checks delta and witness against the 2c - 1 answer
+translated by 10^6.  Part four compares the bitmask ``divisors`` with
 the double loop {p <= x : p in S, x - p in S} at every element
 x <= 2c + 2n_e, ``divisors_above(y, x)`` with D(y) cut to [x, inf)
 at every c <= x <= y in that range, and ``divisors_of_set`` with the
@@ -65,6 +68,7 @@ DECOMPOSE_RMAX = 30_000
 CORPUS_RMAX = 8
 CORPUS_CMAX = 48  # r runs to c + 1 up to this conductor
 CORPUS_OFFSETS = range(7)
+FAR_SHIFT = 10**6
 DIVISORS_AMAX = 20
 TRIPLES = 20  # random element triples per semigroup
 RANDOM_SEMIGROUPS = 8
@@ -100,22 +104,33 @@ def sweep_closed_form(amax: int, rmax: int) -> tuple[int, list[tuple]]:
     return points, mismatches
 
 
-def sweep_generic() -> tuple[int, list[tuple]]:
-    points, mismatches = 0, []
+def sweep_generic() -> tuple[int, int, list[tuple]]:
+    points, shifted, mismatches = 0, 0, []
     for gens in CORPUS:
         s = from_generators(gens)
         rmax = CORPUS_RMAX
         if s.conductor <= CORPUS_CMAX:
             rmax = max(rmax, s.conductor + 1)
+        sizes = range(1, rmax + 1)
+        base = smallest_asymptotic_base(s)
         for offset in CORPUS_OFFSETS:
-            m = smallest_asymptotic_base(s) + offset
-            for res in feng_rao_distances(s, m, range(1, rmax + 1)):
+            m = base + offset
+            for res in feng_rao_distances(s, m, sizes):
                 points += 1
                 brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
                 if brute.delta != res.delta:
                     mismatches.append((gens, m, res.r, brute.delta, res.delta,
                                        brute.witness.elements, res.witness.elements))
-    return points, mismatches
+        # far past the element guard: the 2c - 1 answer translated
+        pairs = zip(feng_rao_distances(s, base, sizes),
+                    feng_rao_distances(s, base + FAR_SHIFT, sizes))
+        for near, far in pairs:
+            shifted += 1
+            moved = tuple(x + FAR_SHIFT for x in near.witness.elements)
+            if far.delta != near.delta + FAR_SHIFT or far.witness.elements != moved:
+                mismatches.append((gens, far.m, far.r, near.delta + FAR_SHIFT, far.delta,
+                                   moved, far.witness.elements))
+    return points, shifted, mismatches
 
 
 def banded_semigroups(count: int, cmax: int, seed: int) -> list:
@@ -212,10 +227,12 @@ def main(argv: list[str] | None = None) -> int:
     report(f"brute vs closed form, b < a <= {args.amax}, r <= {args.rmax}, m = 2c-1",
            points, closed, time.perf_counter() - t0)
     t0 = time.perf_counter()
-    points, generic = sweep_generic()
+    points, shifted, generic = sweep_generic()
     report(f"brute vs generic, {len(CORPUS)} corpus semigroups, r <= {CORPUS_RMAX} "
-           f"(r <= c + 1 where c <= {CORPUS_CMAX}), m = 2c-1 + 0..{CORPUS_OFFSETS[-1]}",
-           points, generic, time.perf_counter() - t0)
+           f"(r <= c + 1 where c <= {CORPUS_CMAX}), m = 2c-1 + 0..{CORPUS_OFFSETS[-1]} "
+           f"({points} x), and generic at m = 2c-1 + {FAR_SHIFT} vs the 2c-1 answer "
+           f"translated ({shifted} x)",
+           points + shifted, generic, time.perf_counter() - t0)
     t0 = time.perf_counter()
     points, cuts, unions, divs = sweep_divisors()
     report(f"bitmask divisors vs double loop ({points} x), divisors_above vs "

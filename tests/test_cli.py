@@ -182,25 +182,31 @@ def test_semigroup_arguments_refused(capsys):
 
 
 def test_element_bound_refused_before_allocating(capsys):
-    # above the element guard, divisors and both distance searches exit 2
-    # before any digit string or mask sized by x or m exists
+    # above the element guard, divisors and brute force exit 2 before any
+    # digit string or mask sized by x or m exists; the generic search
+    # counts in a frame of c + rho_r bits and answers at any base
     over = str(semigroup._MAX_ELEMENT + 1)
+    gens = ["--gens", "5,6,7,9", "--r", "2", "--no-timing"]
+    _, at_base = run_cli(capsys, "distance", *gens, "--method", "generic")
+    base_row = at_base.splitlines()[1].split(",")
     tracemalloc.start()
     try:
         # a build just over the guard costs 4 MB, so an unguarded one fails
         # here, before the x of 10 GB below is tried
-        for method in ("generic", "brute", "all"):
-            code, _ = run_cli(
-                capsys, "distance", "--gens", "5,6,7,9", "--r", "2", "--m", over,
-                "--method", method,
-            )
+        for method in ("brute", "all"):
+            code, _ = run_cli(capsys, "distance", *gens, "--m", over, "--method", method)
             assert code == 2, method
+        code, out = run_cli(capsys, "distance", *gens, "--m", over, "--method", "generic")
+        assert code == 0
         code, _ = run_cli(capsys, "divisors", "--gens", "2,3", "--x", "10000000000")
         assert code == 2
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak < 1_000_000  # the digits for m alone would take 4 MB, for x 10 GB
+    row = out.splitlines()[1].split(",")
+    assert row[1] == over
+    assert int(row[2]) == int(base_row[2]) + int(over) - int(base_row[1])
     # the interval closed form allocates nothing and takes any base
     code, out = run_cli(
         capsys, "distance", "--interval", "5,2", "--r", "3", "--m", "10000000000",

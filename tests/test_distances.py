@@ -1,5 +1,6 @@
 import importlib
 import random
+import tracemalloc
 from itertools import combinations, islice
 from math import comb, gcd
 
@@ -7,6 +8,7 @@ import pytest
 
 import fengrao.amenable as amenable
 import fengrao.distances as distances
+import fengrao.semigroup as semigroup
 from fengrao import (
     InvalidInput,
     SearchSpaceTooLarge,
@@ -50,25 +52,43 @@ def test_argument_validation():
         brute_force_distance(s, 13, 2)
 
 
-def test_generic_search_builds_only_the_masks_it_reads(monkeypatch):
-    # amenable sets have m_i <= m + rho_i, so of the 9,999 ground elements
-    # of <2, 9999> only m .. m + rho(3) can be read up to r = 3
-    s = from_generators([2, 9999])
-    m = smallest_asymptotic_base(s)
-    real_masks = distances._divisor_masks
-    windows = []
+def test_generic_search_counts_in_one_frame(monkeypatch):
+    # the search builds no divisor mask window, and one mask builder call at
+    # top = c - 1 gives the frame it counts in, whatever m is
+    def refused(*args):
+        raise AssertionError("the generic search built a divisor mask window")
 
-    def counted(sgp, lo, hi):
-        windows.append((lo, hi))
-        assert hi - lo <= s.rho(3) + 1, f"divisor masks of [{lo}, {hi}) built"
-        return real_masks(sgp, lo, hi)
+    real_build = divisors_module._element_masks
+    tops = []
 
-    monkeypatch.setattr(distances, "_divisor_masks", counted)
-    results = feng_rao_distances(s, m, range(1, 4))
+    def counted(sgp, top):
+        tops.append(top)
+        return real_build(sgp, top)
+
+    small = from_generators([2, 9999])
+    m = smallest_asymptotic_base(small)
+    monkeypatch.setattr(distances, "_divisor_masks", refused)
+    monkeypatch.setattr(divisors_module, "_divisor_masks", refused)
+    monkeypatch.setattr(distances, "_element_masks", counted)
+    monkeypatch.setattr(divisors_module, "_element_masks", counted)
+    results = feng_rao_distances(small, m, range(1, 4))
+    assert tops == [small.conductor - 1]
+
+    # a frame of c + rho_r bits: on <1000, 1001> a window from m would hold
+    # D(m) and each candidate's mask, 2 million bits each
+    s = from_generators([1000, 1001])
+    tops.clear()
+    tracemalloc.start()
+    try:
+        feng_rao_distances(s, smallest_asymptotic_base(s), range(1, 3))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
     monkeypatch.undo()
-    assert windows == [(m, m + s.rho(3) + 1)]
+    assert tops == [s.conductor - 1]
+    assert peak < 2_000_000, peak
     for res in results:
-        assert res.delta == brute_force_distance(s, m, res.r).delta, res.r
+        assert res.delta == brute_force_distance(small, m, res.r).delta, res.r
 
 
 def test_brute_force_builds_one_window_and_no_single_divisor_set(monkeypatch):
@@ -97,14 +117,22 @@ def test_brute_force_builds_one_window_and_no_single_divisor_set(monkeypatch):
 
 
 def test_translation_identity():
-    # delta(m + k) = delta(m) + k past 2c-1
+    # delta(m + k) = delta(m) + k past 2c-1, with the witness translated by k,
+    # also at bases far past the element guard of the divisor masks
     for gens in [(4, 5), (5, 6, 7), (4, 6, 7)]:
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
+        far = [10**6, semigroup._MAX_ELEMENT + 1 - m, 10**10]
+        base = feng_rao_distances(s, m, range(1, 4))
         for r in (1, 2, 3):
-            base = feng_rao_distance(s, m, r).delta
             for k in range(1, 2 * s.largest_generator + 1):
-                assert feng_rao_distance(s, m + k, r).delta == base + k
+                assert feng_rao_distance(s, m + k, r).delta == base[r - 1].delta + k
+        for k in far:
+            for res, at_base in zip(feng_rao_distances(s, m + k, range(1, 4)), base):
+                assert res.delta == at_base.delta + k, (gens, k, res.r)
+                assert res.witness.elements == tuple(
+                    x + k for x in at_base.witness.elements
+                ), (gens, k, res.r)
 
 
 def test_e_number_first_is_zero():
