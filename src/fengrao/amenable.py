@@ -11,13 +11,14 @@ sorted element offsets with those bounds as pruning.  A table ``need``
 gives, for each offset t, the mask of the offsets t - n (n a minimal
 generator) that must already be present, so checking a candidate is one
 mask test.  The search keeps one slot per depth (prefix, mask, next
-candidate, bound), so memory stays proportional to r, and builds its
+candidate, bound) and ``need``, about rho_r^2 / 16 bytes, and builds its
 results with ``Configuration._trusted``, which skips the validation the
 search already guarantees.  Every prefix of an amenable set is amenable,
 so one search to depth hi passes every amenable set of each size up to
 hi; given a range of sizes, it yields each set of a requested size when
 it reaches it, before its extensions, which is lexicographic order.
-Sizes above ``_MAX_SIZE`` are refused before the per-depth tables exist.
+Sizes above ``_MAX_SIZE``, and a rho_r above ``_MAX_RHO``, are refused
+before the tables sized by them exist.
 A caller may bound the walk with an ``admit`` hook, asked about each
 candidate that passes the mask test before any tuple is built for it; a
 refused candidate is neither yielded nor extended.  The distance search
@@ -49,8 +50,12 @@ from .semigroup import NumericalSemigroup
 # million sets of <14, 15> at r = 14, and the bounded distance search on
 # <16, 17> grows about 4x per 10 sizes past r = 40 (0.8 to 0.9 s for
 # r 1..60 on a 2-vCPU Xeon VM).  The bound refuses absurd sizes before
-# the per-depth tables are allocated.
+# the per-depth lists are allocated.
 _MAX_SIZE = 10_000
+# Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
+# rho_r bits, about rho_r^2 / 16 bytes: 64 MB at most here, in line with
+# the conductor guard.  It refuses <1000, 1001> from r = 562.
+_MAX_RHO = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -184,6 +189,8 @@ def enumerate_amenable(
 
     rho2 = sgp.multiplicity
     rho = [sgp.rho(i) for i in range(1, hi + 1)]  # rho[i-1] = rho_i
+    if rho[-1] > _MAX_RHO:
+        raise InvalidInput(f"rho_{hi} = {rho[-1]} is above the limit of {_MAX_RHO}")
     need = [0] * (rho[-1] + 1)
     for n in sgp.minimal_generators:
         for t in range(n, len(need)):
@@ -193,7 +200,7 @@ def enumerate_amenable(
     # offset mask, the next candidate offset and the largest one allowed.
     # Slot 0 is the empty prefix, whose one candidate is offset 0, m itself.
     # A prefix is yielded when its slot is pushed, before its extensions,
-    # if its size is asked for; the sets of size hi are the leaves.
+    # if its size is asked for.
     last = hi - 1
     first = lo - 1  # the first depth whose pushed prefixes are yielded
     prefixes: list[tuple[int, ...]] = [()] * hi
@@ -204,19 +211,10 @@ def enumerate_amenable(
     while depth >= 0:
         mask = masks[depth]
         bound = bounds[depth]
-        size = depth + 1  # the size of a candidate at this depth
-        if depth == last:
-            prefix = prefixes[depth]
-            for t in range(nexts[depth], bound + 1):
-                req = need[t]
-                if mask & req == req and (admit is None or admit(size, m + t)):
-                    yield trusted(m, prefix + (m + t,))
-            depth -= 1
-            continue
         t = nexts[depth]
         while t <= bound:
             req = need[t]
-            if mask & req == req and (admit is None or admit(size, m + t)):
+            if mask & req == req and (admit is None or admit(depth + 1, m + t)):
                 break
             t += 1
         else:
@@ -226,12 +224,13 @@ def enumerate_amenable(
         prefix = prefixes[depth] + (m + t,)
         if depth >= first:
             yield trusted(m, prefix)
-        depth += 1
-        prefixes[depth] = prefix
-        masks[depth] = mask | (1 << t)
-        nexts[depth] = t + 1
-        bound = t + rho2
-        bounds[depth] = bound if bound < rho[depth] else rho[depth]
+        if depth < last:
+            depth += 1
+            prefixes[depth] = prefix
+            masks[depth] = mask | (1 << t)
+            nexts[depth] = t + 1
+            bound = t + rho2
+            bounds[depth] = bound if bound < rho[depth] else rho[depth]
 
 
 def shadow_representatives(

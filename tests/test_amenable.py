@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import combinations
 
 import pytest
@@ -273,6 +274,30 @@ def test_size_bound_refuses_before_allocating(monkeypatch):
         list(enumerate_amenable(s, m, amenable._MAX_SIZE))
     for r in (range(1, 6, 2), -1, range(-1, 3), 2.0):
         with pytest.raises(InvalidInput):
+            next(enumerate_amenable(s, m, r))
+
+
+def test_offset_bound_refuses_before_the_table(monkeypatch):
+    # <1000, 1001> at r = 562 has rho_r = 33,000: its table of offsets
+    # would take about 68 MB, where _MAX_SIZE alone admits it
+    s = from_generators([1000, 1001])
+    m = smallest_asymptotic_base(s)
+    tracemalloc.start()
+    try:
+        with pytest.raises(InvalidInput, match="rho_562 = 33000 is above the limit of 32768"):
+            next(enumerate_amenable(s, m, 562))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000
+    # a rho_r equal to the limit is walked, one above it is refused
+    s = from_generators([4, 5])
+    m = smallest_asymptotic_base(s)
+    walked = list(enumerate_amenable(s, m, range(1, 8)))
+    monkeypatch.setattr(amenable, "_MAX_RHO", s.rho(7))
+    assert list(enumerate_amenable(s, m, range(1, 8))) == walked
+    for r in (8, range(1, 9)):
+        with pytest.raises(InvalidInput, match=f"rho_8 = {s.rho(8)} is above the limit"):
             next(enumerate_amenable(s, m, r))
 
 

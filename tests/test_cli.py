@@ -12,6 +12,7 @@ import pytest
 import fengrao.cli as cli
 import fengrao.semigroup as semigroup
 from fengrao import (
+    Configuration,
     FengRaoError,
     InvalidInput,
     SearchSpaceTooLarge,
@@ -19,6 +20,8 @@ from fengrao import (
     divisors_above,
     enumerate_amenable,
     from_generators,
+    h_decompose,
+    interval_extra_divisors,
     interval_feng_rao_number,
     interval_semigroup,
     interval_shadow_divisor_count,
@@ -26,6 +29,7 @@ from fengrao import (
     rho_equality_predicted,
     shadow_representatives,
     smallest_asymptotic_base,
+    wagon_pivot,
 )
 from corpus import corpus_semigroups
 
@@ -650,7 +654,8 @@ def test_every_package_error_takes_the_one_error_path(error, monkeypatch, capfd)
     assert capfd.readouterr() == ("", "error: the message\n")
 
 
-# one library refusal per precondition of the paper, with its message
+# one library refusal per precondition of the paper or argument check,
+# with its message
 PRECONDITION_REFUSALS = {
     "gcd-not-1": (lambda: from_generators([4, 6]), "gcd of generators is 2, not 1"),
     "not-an-element": (
@@ -677,6 +682,27 @@ PRECONDITION_REFUSALS = {
         lambda: ordered_amenable_set(4, 1, 100, 11),
         "r=11 needs shadow edge 4 < a+b-1 = 4",
     ),
+    "elements-not-increasing": (
+        lambda: Configuration(23, (23, 28, 28)),
+        "configuration elements must be strictly increasing",
+    ),
+    "least-element-not-base": (
+        lambda: Configuration(23, (24, 28)),
+        "least element 24 differs from base 23",
+    ),
+    "r-below-1": (lambda: h_decompose(0, 2), "need r, b >= 1, got r=0, b=2"),
+    "q-below-0": (
+        lambda: interval_extra_divisors(5, 2, 23, -1, 0),
+        "need q >= 0 and 0 <= j < a, got q=-1, j=0",
+    ),
+    "j-not-below-a": (
+        lambda: interval_extra_divisors(5, 2, 23, 0, 5),
+        "need q >= 0 and 0 <= j < a, got q=0, j=5",
+    ),
+    "empty-wagon": (
+        lambda: wagon_pivot(5, 2, Configuration(23, ())),
+        "wagon of an empty configuration",
+    ),
 }
 
 
@@ -687,6 +713,38 @@ def test_every_precondition_refusal_takes_the_one_error_path(refusal, monkeypatc
         call()
     monkeypatch.setattr(cli, "divisors", lambda *args: call())
     assert cli.main(["divisors", "--gens", "4,5", "--x", "9"]) == 2
+    assert capfd.readouterr() == ("", f"error: {message}\n")
+
+
+# one CLI argument refusal per check of the command layer, with its message;
+# the two rho cases reach the walk's offset bound, which refuses before the
+# walk's table exists
+ARGUMENT_REFUSALS = {
+    "gens-not-integers": (["number", "--gens", "9,x", "--r", "1"],
+                          "cannot parse --gens '9,x' as comma-separated integers"),
+    "r-not-integer": (["number", "--gens", "4,5", "--r", "abc"],
+                      "cannot parse r range 'abc'; use N or lo..hi"),
+    "r-range-empty": (["number", "--gens", "4,5", "--r", "3..1"],
+                      "r range '3..1' is empty or starts below 1"),
+    "r-below-1": (["number", "--gens", "4,5", "--r", "0"],
+                  "r range '0' is empty or starts below 1"),
+    "interval-not-a-pair": (["number", "--interval", "5", "--r", "1"],
+                            "--interval needs exactly two integers a,b"),
+    "amenable-r-range": (["amenable", "--gens", "4,5", "--r", "1..3"],
+                         "amenable takes a single --r value"),
+    "number-rho-above-limit": (
+        ["number", "--gens", "1000,1001", "--r", "562", "--method", "generic"],
+        "rho_562 = 33000 is above the limit of 32768",
+    ),
+    "amenable-rho-above-limit": (["amenable", "--gens", "1000,1001", "--r", "562"],
+                                 "rho_562 = 33000 is above the limit of 32768"),
+}
+
+
+@pytest.mark.parametrize("refusal", sorted(ARGUMENT_REFUSALS))
+def test_every_argument_refusal_exits_2_with_its_message(refusal, capfd):
+    argv, message = ARGUMENT_REFUSALS[refusal]
+    assert cli.main(argv) == 2
     assert capfd.readouterr() == ("", f"error: {message}\n")
 
 

@@ -48,6 +48,7 @@ def test_argument_validation():
         feng_rao_distance(s, 13, 2)
     with pytest.raises(InvalidInput):
         feng_rao_distance(s, 23, 0)
+    assert feng_rao_distances(s, 23, range(3, 3)) == []
     with pytest.raises(InvalidInput, match=r"base 13 is below max\(2c-1, 0\) = 23"):
         brute_force_distance(s, 13, 2)
 

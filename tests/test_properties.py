@@ -58,30 +58,26 @@ def feng_rao_numbers(s, rmax):
 
 
 @settings(derandomize=True, database=None, max_examples=100, deadline=None)
-@given(s=small_semigroups(max_multiplicity=9))
+@given(s=small_semigroups(max_multiplicity=12))
 def test_feng_rao_number_at_most_rho(s):
     # the Goppa-like bound of Farran and Munuera (2003): E(S, r) <= rho_r,
-    # with equality for r >= c + 1
-    for r, e in enumerate(feng_rao_numbers(s, min(s.conductor + 2, 10)), start=1):
+    # with equality for r >= c + 1; past c = 40 single cases take minutes
+    assume(s.conductor <= 40)
+    for r, e in enumerate(feng_rao_numbers(s, s.conductor + 2), start=1):
         assert e <= s.rho(r), r
         if r >= s.conductor + 1:
             assert e == s.rho(r), r
 
 
-@st.composite
-def two_generator_semigroups(draw):
-    a = draw(st.integers(2, 10))
-    b = draw(st.integers(a + 1, 2 * a + 3))
-    assume(gcd(a, b) == 1)
-    return from_generators([a, b])
-
-
-@settings(derandomize=True, database=None, max_examples=60, deadline=None)
-@given(s=two_generator_semigroups())
-def test_two_generator_feng_rao_number_is_rho(s):
-    # Delgado, Farran, Garcia-Sanchez and Llena (IEEE Trans. IT, 2014)
-    rmax = 10
-    assert feng_rao_numbers(s, rmax) == [s.rho(r) for r in range(1, rmax + 1)]
+def test_two_generator_feng_rao_number_is_rho():
+    # Delgado, Farran, Garcia-Sanchez and Llena (IEEE Trans. IT, 2014), on
+    # every <a, b> with a <= 16 and b <= 2a + 3
+    for a in range(2, 17):
+        for b in range(a + 1, 2 * a + 4):
+            if gcd(a, b) == 1:
+                s = from_generators([a, b])
+                rhos = [s.rho(r) for r in range(1, 17)]
+                assert feng_rao_numbers(s, 16) == rhos, (a, b)
 
 
 def test_rho_equality_prediction_against_the_generic_search():
