@@ -30,15 +30,12 @@ The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
 The number of divisors of an amenable set only depends on its shadow
 (plus the count of elements above the ground), so the distance search
-draws one representative per shadow and size.  Sets of one size that
-share a shadow are contiguous in lexicographic order, so that dedup
-compares each shadow with the previous one of the same size only and
-holds no set of those seen.
+draws one set per shadow and size, which the walker gives by stopping
+each depth's scan after its first admitted candidate above the ground.
 """
 
 from __future__ import annotations
 
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import Callable, Iterator
 
@@ -48,9 +45,9 @@ from .semigroup import NumericalSemigroup
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> grows about 4x per 10 sizes past r = 40 (0.8 to 0.9 s for
-# r 1..60 on a 2-vCPU Xeon VM).  The bound refuses absurd sizes before
-# the per-depth lists are allocated.
+# <16, 17> took 0.12 s for r 1..60 and 1.35 s for r 1..200 on a 2-vCPU
+# Xeon VM.  The bound refuses absurd sizes before the per-depth lists
+# are allocated.
 _MAX_SIZE = 10_000
 # Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
 # rho_r bits, about rho_r^2 / 16 bytes: 64 MB at most here, in line with
@@ -159,6 +156,7 @@ def enumerate_amenable(
     r: int | range,
     *,
     admit: Callable[[int, int], bool] | None = None,
+    one_per_shadow: bool = False,
 ) -> Iterator[Configuration]:
     """All (S, m, k)-amenable sets for k = r, or for every k in a range r.
 
@@ -176,6 +174,18 @@ def enumerate_amenable(
     (k-1)-element prefix is the last set of that size admitted, and a
     set is yielded right after it is admitted, so the hook can keep
     per-size state that describes the prefix and the yielded set.
+
+    With ``one_per_shadow``, a depth's scan stops after its first
+    admitted offset t >= n_e, so only the first set of each shadow and
+    size is yielded.  A later candidate t' after the same prefix P gives
+    P + t' the shadow of P + t.  Drop the largest element of any amenable
+    Q' under P + t' and add t: the result Q is amenable (the divisors of
+    t in range are in P), has the size and shadow of Q', so its divisor
+    count, sits under P + t, and meets the walker's bounds, as each
+    element and gap of Q is at most one of Q' or P + t'.  A hook that
+    answers from the count against thresholds that only fall, as the
+    distance search's does, refuses Q's prefixes whenever it would
+    refuse those of Q'.
     """
     check_base(sgp, m)
     sizes = _size_range(r)
@@ -191,6 +201,8 @@ def enumerate_amenable(
     rho = [sgp.rho(i) for i in range(1, hi + 1)]  # rho[i-1] = rho_i
     if rho[-1] > _MAX_RHO:
         raise InvalidInput(f"rho_{hi} = {rho[-1]} is above the limit of {_MAX_RHO}")
+    # a depth's scan ends at its first admitted t >= stop; no t reaches rho_r + 1
+    stop = sgp.largest_generator if one_per_shadow else rho[-1] + 1
     need = [0] * (rho[-1] + 1)
     for n in sgp.minimal_generators:
         for t in range(n, len(need)):
@@ -220,7 +232,7 @@ def enumerate_amenable(
         else:
             depth -= 1
             continue
-        nexts[depth] = t + 1
+        nexts[depth] = t + 1 if t < stop else bound + 1
         prefix = prefixes[depth] + (m + t,)
         if depth >= first:
             yield trusted(m, prefix)
@@ -242,26 +254,11 @@ def shadow_representatives(
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
-    The sets of one size sharing a shadow L are contiguous among the sets
-    of that size in lexicographic order: each is L followed by elements
-    >= m + n_e, so any set of that size sorted between two of them starts
-    with L and continues above the ground as well.  Comparing each shadow
-    with the previous one of the same size is therefore enough.  An
-    ``admit`` hook, passed on to enumerate_amenable, drops sets from the
-    stream and keeps those of one shadow and size contiguous, so each
-    yielded set is the first of its shadow and size that the hook
-    admitted.  The distance search's hook answers from the divisor count,
-    which the sets of one shadow and size share, against thresholds that
-    only fall: a refused first set means its whole group is refused, so
-    each set it draws is also the first of its group in lexicographic
-    order.
+    enumerate_amenable with ``one_per_shadow``: the walker draws these
+    sets itself and drops none.  An ``admit`` hook is asked only about the
+    candidates the walker still scans; the distance search's hook answers
+    from the divisor count, which one shadow and size share, against
+    thresholds that only fall, so each set it draws is still the first
+    of its group.
     """
-    upper = m + sgp.largest_generator
-    previous: dict[int, tuple[int, ...]] = {}  # size -> last shadow seen
-    for config in enumerate_amenable(sgp, m, r, admit=admit):
-        elements = config.elements
-        key = elements[: bisect_left(elements, upper)]
-        size = len(elements)
-        if previous.get(size) != key:
-            previous[size] = key
-            yield config
+    yield from enumerate_amenable(sgp, m, r, admit=admit, one_per_shadow=True)

@@ -67,7 +67,7 @@ def feng_rao_distances(
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
     The search to depth max(rs) walks the amenable sets of each size in
-    rs in lexicographic order and keeps one per shadow and size.  Bit i
+    rs in lexicographic order, one per shadow and size.  Bit i
     of the frame stands for m - c + 1 + i: for x = m + t, D(x) is all of
     S up to m - c, then the bits [0, t) and R << t.  Each prefix keeps the
     OR U of its R << t, so a set costs one OR and one bit count, and the
@@ -81,11 +81,12 @@ def feng_rao_distances(
     extensions, unless the count beats the best so far for its own size
     or leaves room to beat it for some requested r > k.  A refused set's
     extensions could not win, so nothing else cuts a subtree.  Sets of one
-    shadow and size share one count and the thresholds only fall, so a
-    refused first set means its whole shadow group is refused, and the
-    dedup still draws the first of each.  Only a strictly smaller count
-    replaces the best, so each size keeps its first minimum in
-    lexicographic order, the witness the unbounded search gives.
+    shadow and size share one count and the thresholds only fall, so the
+    one set per shadow and size that the walker draws is the first of its
+    group in lexicographic order, and a set it skips could not win: it
+    has the count of a set the walker reaches earlier.  Only a strictly
+    smaller count replaces the best, so each size keeps its first minimum
+    in lexicographic order, the witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:

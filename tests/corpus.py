@@ -4,7 +4,8 @@ Generator tuples only; construct on demand.  Multiplicities range from
 1 to 19 so the acceptance filters (<= 13 for the counting law, <= 9 for
 the brute-force oracle) both have enough members.  ``random_semigroups``
 adds a seeded stream of larger ones, for the mask builder's tests and
-``sweep_oracle.py``.
+``sweep_oracle.py``, and ``semigroups_by_genus`` every semigroup up to a
+genus.
 """
 
 import random
@@ -57,3 +58,25 @@ def random_semigroups(seed: int) -> Iterator[NumericalSemigroup]:
         gens = [a, *rng.sample(range(a + 1, 3 * a + 2), rng.randint(1, 4))]
         if gcd(*gens) == 1:
             yield from_generators(gens)
+
+
+def semigroups_by_genus(max_genus: int) -> list[list[NumericalSemigroup]]:
+    """Every numerical semigroup of genus 0..max_genus, one list per genus.
+
+    Each semigroup of genus g + 1 is S without x for exactly one S of
+    genus g and one minimal generator x of S above its Frobenius number
+    (Rosales and Garcia-Sanchez, "Numerical Semigroups", 2009).  The
+    generators of S without x are among those of S other than x, x plus
+    each generator of S, and 3x; ``from_generators`` keeps the minimal ones.
+    """
+    levels = [[from_generators([1])]]
+    for _ in range(max_genus):
+        children = []
+        for s in levels[-1]:
+            gens = s.minimal_generators
+            for x in gens:
+                if x > s.frobenius:
+                    rest = [n for n in gens if n != x] + [x + n for n in gens]
+                    children.append(from_generators(rest + [3 * x]))
+        levels.append(children)
+    return levels

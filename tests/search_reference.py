@@ -1,14 +1,15 @@
 """Unbounded reference for the generic Feng-Rao search.
 
 This is the minimization that the branch-and-bound search replaced: it
-walks every amenable set up to size max(rs), one per shadow and size,
-and sums the ground divisor union and the elements above the ground of
-each, with no cut.  Only a strictly smaller count replaces the best, so
-each size keeps its first minimum in lexicographic order.  The tests
-hold ``feng_rao_distances`` against it, delta and witness.
+walks every amenable set up to size max(rs), with no cut and no rule
+that skips sets of a shadow already seen, and sums the ground divisor
+union and the elements above the ground of each.  Sets of one shadow and
+size have equal counts, and only a strictly smaller count replaces the
+best, so each size keeps its first minimum in lexicographic order.  The
+tests hold ``feng_rao_distances`` against it, delta and witness.
 """
 
-from fengrao.amenable import shadow_representatives
+from fengrao.amenable import enumerate_amenable
 from fengrao.divisors import _divisor_masks
 
 
@@ -17,7 +18,7 @@ def reference_distances(sgp, m: int, rs: range) -> list[tuple[int, tuple[int, ..
     upper = m + sgp.largest_generator
     ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(rs[-1]) + 1))
     best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for config in shadow_representatives(sgp, m, rs):
+    for config in enumerate_amenable(sgp, m, rs):
         elements = config.elements
         union = 0
         above = r = len(elements)

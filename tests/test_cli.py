@@ -95,19 +95,32 @@ def test_number_auto_matches_generic_on_intervals(capsys):
     assert pick(auto) == pick(generic)
 
 
-def test_generic_search_reaches_r_30_on_16_17(capsys):
-    # the search without a bound did not finish this in a minute
+def number_16_17_columns(capsys, top):
+    """The r, m, delta and e columns of `number --interval 16,1 --r 1..top`
+    by the generic search and by the closed form."""
     columns = []
     for method in ("generic", "interval"):
         code, out = run_cli(
-            capsys, "number", "--interval", "16,1", "--r", "1..30", "--method", method,
-            "--no-timing",
+            capsys, "number", "--interval", "16,1", "--r", f"1..{top}",
+            "--method", method, "--no-timing",
         )
         assert code == 0
         columns.append([line.split(",")[:4] for line in out.strip().splitlines()])
     assert columns[0][0] == ["r", "m", "delta", "e"]
-    assert len(columns[0]) == 31
-    assert columns[0] == columns[1]
+    assert len(columns[0]) == top + 1
+    return columns
+
+
+def test_generic_search_reaches_r_30_on_16_17(capsys):
+    # the search without a bound did not finish this in a minute
+    generic, interval = number_16_17_columns(capsys, 30)
+    assert generic == interval
+
+
+def test_generic_search_reaches_r_200_on_16_17(capsys):
+    # when the walker drew every set of a shadow, r 1..80 alone took 12.5 s
+    generic, interval = number_16_17_columns(capsys, 200)
+    assert generic == interval
 
 
 def test_number_all_methods_agree(capsys):

@@ -25,7 +25,7 @@ from fengrao import (
     smallest_asymptotic_base,
 )
 
-from corpus import corpus_semigroups, random_semigroups
+from corpus import corpus_semigroups, random_semigroups, semigroups_by_genus
 from search_reference import reference_distances
 
 # the package re-exports the function divisors under the module's name
@@ -330,14 +330,15 @@ def test_bounded_search_equals_the_unbounded_reference():
 # benchmark's deep-r and wide-ground semigroups, and summed for r 1..12
 # over the acceptance grid b < a <= 12.  With no bound the two first drew
 # 549,299 and 213,544 sets; cutting after each prefix was yielded drew
-# 496 and 4,691
+# 496 and 4,691 candidates and 130 and 557 sets; drawing one set per
+# shadow in the walker, 270 and 4,678 candidates
 SEARCH_WORK = {
-    "14..15": ([(14, 15)], 14, (496, 130, 116)),
-    "16..24": ([tuple(range(16, 25))], 14, (4691, 557, 556)),
+    "14..15": ([(14, 15)], 14, (270, 116, 116)),
+    "16..24": ([tuple(range(16, 25))], 14, (4678, 556, 556)),
     "grid": (
         [tuple(range(a, a + b + 1)) for a in range(2, 13) for b in range(1, a)],
         12,
-        (39483, 10029, 9773),
+        (37826, 9773, 9773),
     ),
 }
 
@@ -376,6 +377,8 @@ def test_bounded_search_work_is_pinned(monkeypatch, case):
         s = from_generators(gens)
         feng_rao_distances(s, smallest_asymptotic_base(s), range(1, rmax + 1))
     assert (work["asked"], work["sets"], work["shadows"]) == expected
+    # the walker draws one set per shadow itself: nothing is left to drop
+    assert work["sets"] == work["shadows"]
 
 
 def test_generic_equals_brute_force_up_to_c_plus_1():
@@ -392,3 +395,39 @@ def test_generic_equals_brute_force_up_to_c_plus_1():
         for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
             brute = brute_force_distance(s, m, res.r, max_subsets=float("inf"))
             assert res.delta == brute.delta, (s.minimal_generators, res.r)
+
+
+def test_generic_equals_brute_force_on_every_semigroup_up_to_genus_10():
+    # delta and witness at every r up to c + 1, against the uncapped oracle
+    envelope = [s for level in semigroups_by_genus(10) for s in level]
+    assert len(envelope) == 478
+    points = 0
+    for s in envelope:
+        if s.conductor < 2:
+            continue
+        m = smallest_asymptotic_base(s)
+        for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
+            brute = brute_force_distance(s, m, res.r, max_subsets=float("inf"))
+            assert (res.delta, res.witness) == (brute.delta, brute.witness), (
+                s.minimal_generators, res.r,
+            )
+            points += 1
+    assert points == 7278
+
+
+def test_feng_rao_number_at_most_rho_up_to_genus_12():
+    # the Goppa-like bound of Farran and Munuera (2003): E(S, r) <= rho_r,
+    # with equality for r >= c + 1, at every r up to c + 2
+    envelope = [s for level in semigroups_by_genus(12) for s in level]
+    assert len(envelope) == 1413
+    points = 0
+    for s in envelope:
+        results = feng_rao_distances(
+            s, smallest_asymptotic_base(s), range(1, s.conductor + 3)
+        )
+        for res in results:
+            assert res.e_number <= s.rho(res.r), (s.minimal_generators, res.r)
+            if res.r >= s.conductor + 1:
+                assert res.e_number == s.rho(res.r), (s.minimal_generators, res.r)
+            points += 1
+    assert points == 27172

@@ -7,7 +7,7 @@ import fengrao.semigroup as semigroup
 from fengrao import DivisorSet, InvalidInput, from_generators
 from fengrao.divisors import _element_masks
 
-from corpus import CORPUS, corpus_semigroups
+from corpus import CORPUS, corpus_semigroups, semigroups_by_genus
 
 
 def reachable_oracle(gens, limit):
@@ -219,3 +219,14 @@ def test_elements_up_to_matches_membership(gens):
 def test_equality_is_canonical():
     assert from_generators([9, 13, 15, 22]) == from_generators([9, 13, 15])
     assert from_generators([4, 5]) != from_generators([4, 7])
+
+
+def test_every_semigroup_up_to_genus_12():
+    # the known counts of numerical semigroups of genus 0..12, each
+    # semigroup once and of its level's genus
+    levels = semigroups_by_genus(12)
+    assert [len(level) for level in levels] == [
+        1, 1, 2, 4, 7, 12, 23, 39, 67, 118, 204, 343, 592,
+    ]
+    assert all(s.genus == g for g, level in enumerate(levels) for s in level)
+    assert len({s for level in levels for s in level}) == 1413
