@@ -10,15 +10,14 @@ rho_2.  Enumeration below is an iterative depth-first search over
 sorted element offsets with those bounds as pruning.  A table ``need``
 gives, for each offset t, the mask of the offsets t - n (n a minimal
 generator) that must already be present, so checking a candidate is one
-mask test.  The search keeps one slot per depth (prefix, mask, next
-candidate, bound) and ``need``, about rho_r^2 / 16 bytes, and builds its
-results with ``Configuration._trusted``, which skips the validation the
-search already guarantees.  Every prefix of an amenable set is amenable,
-so one search to depth hi passes every amenable set of each size up to
-hi; given a range of sizes, it yields each set of a requested size when
-it reaches it, before its extensions, which is lexicographic order.
-Sizes above ``_MAX_SIZE``, and a rho_r above ``_MAX_RHO``, are refused
-before the tables sized by them exist.
+mask test.  The search keeps one slot per depth (element, mask, next
+candidate, bound) and ``need``, about rho_r^2 / 16 bytes.  Every prefix
+of an amenable set is amenable, so the search to depth r passes every
+amenable set of each size below r on its way; it builds a tuple only for
+the sets of size r, which it yields in lexicographic order, with
+``Configuration._trusted``, which skips the validation the search
+already guarantees.  Sizes above ``_MAX_SIZE``, and a rho_r above
+``_MAX_RHO``, are refused before the tables sized by them exist.
 A caller may bound the walk with an ``admit`` hook, asked about each
 candidate that passes the mask test before any tuple is built for it; a
 refused candidate is neither yielded nor extended.  The distance search
@@ -45,9 +44,9 @@ from .semigroup import NumericalSemigroup
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> took 0.12 s for r 1..60 and 1.35 s for r 1..200 on a 2-vCPU
-# Xeon VM.  The bound refuses absurd sizes before the per-depth lists
-# are allocated.
+# <16, 17> took 0.05 s for r 1..60, 0.75 s for r 1..200 and 1.3 s for
+# r 1..1000 on a 2-vCPU Xeon VM.  The bound refuses absurd sizes before
+# the per-depth lists are allocated.
 _MAX_SIZE = 10_000
 # Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
 # rho_r bits, about rho_r^2 / 16 bytes: 64 MB at most here, in line with
@@ -153,27 +152,25 @@ def _size_range(r: int | range) -> range:
 def enumerate_amenable(
     sgp: NumericalSemigroup,
     m: int,
-    r: int | range,
+    r: int,
     *,
     admit: Callable[[int, int], bool] | None = None,
     one_per_shadow: bool = False,
 ) -> Iterator[Configuration]:
-    """All (S, m, k)-amenable sets for k = r, or for every k in a range r.
+    """All (S, m, r)-amenable sets, in lexicographic element order.
 
-    The sets come in lexicographic element order, so the sets of any one
-    size come in the order a search for that size alone gives them.
     Elements are kept as offsets from m in a bitmask.  ``need[t]`` has a
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
 
     ``admit``, when given, is asked ``admit(k, x)`` once for each
-    candidate set that passes the mask test, of every size k up to the
-    largest, where x is its largest element, before the set is built,
-    yielded or extended; when it returns false, the set is dropped with
-    all its extensions.  A candidate is asked about only while its
-    (k-1)-element prefix is the last set of that size admitted, and a
-    set is yielded right after it is admitted, so the hook can keep
-    per-size state that describes the prefix and the yielded set.
+    candidate set that passes the mask test, of every size k up to r,
+    where x is its largest element, before the set is built, yielded or
+    extended; when it returns false, the set is dropped with all its
+    extensions.  The candidates come in pre-order, a prefix before its
+    extensions, and one is asked about only while its (k-1)-element
+    prefix is the last set of that size admitted, so the hook can keep
+    per-size state that describes the prefix.
 
     With ``one_per_shadow``, a depth's scan stops after its first
     admitted offset t >= n_e, so only the first set of each shadow and
@@ -188,19 +185,18 @@ def enumerate_amenable(
     refuse those of Q'.
     """
     check_base(sgp, m)
-    sizes = _size_range(r)
+    if not isinstance(r, int):
+        raise InvalidInput(f"configuration size must be an int, got {r!r}")
+    _size_range(r)
     trusted = Configuration._trusted
-    if sizes and sizes.start == 0:
+    if r == 0:
         yield trusted(m, ())
-        sizes = sizes[1:]
-    if not sizes:
         return
-    lo, hi = sizes.start, sizes[-1]
 
     rho2 = sgp.multiplicity
-    rho = [sgp.rho(i) for i in range(1, hi + 1)]  # rho[i-1] = rho_i
+    rho = [sgp.rho(i) for i in range(1, r + 1)]  # rho[i-1] = rho_i
     if rho[-1] > _MAX_RHO:
-        raise InvalidInput(f"rho_{hi} = {rho[-1]} is above the limit of {_MAX_RHO}")
+        raise InvalidInput(f"rho_{r} = {rho[-1]} is above the limit of {_MAX_RHO}")
     # a depth's scan ends at its first admitted t >= stop; no t reaches rho_r + 1
     stop = sgp.largest_generator if one_per_shadow else rho[-1] + 1
     need = [0] * (rho[-1] + 1)
@@ -208,17 +204,15 @@ def enumerate_amenable(
         for t in range(n, len(need)):
             need[t] |= 1 << (t - n)
 
-    # slot d describes the prefix of d elements: the prefix itself, its
-    # offset mask, the next candidate offset and the largest one allowed.
-    # Slot 0 is the empty prefix, whose one candidate is offset 0, m itself.
-    # A prefix is yielded when its slot is pushed, before its extensions,
-    # if its size is asked for.
-    last = hi - 1
-    first = lo - 1  # the first depth whose pushed prefixes are yielded
-    prefixes: list[tuple[int, ...]] = [()] * hi
-    masks = [0] * hi
-    nexts = [0] * hi
-    bounds = [0] * hi
+    # slot d describes the prefix of d elements: its offset mask, the next
+    # candidate offset and the largest one allowed; elems[d] is the element
+    # it last took.  Slot 0 is the empty prefix, whose one candidate is
+    # offset 0, m itself.
+    last = r - 1
+    elems = [0] * r
+    masks = [0] * r
+    nexts = [0] * r
+    bounds = [0] * r
     depth = 0
     while depth >= 0:
         mask = masks[depth]
@@ -233,22 +227,21 @@ def enumerate_amenable(
             depth -= 1
             continue
         nexts[depth] = t + 1 if t < stop else bound + 1
-        prefix = prefixes[depth] + (m + t,)
-        if depth >= first:
-            yield trusted(m, prefix)
+        elems[depth] = m + t
         if depth < last:
             depth += 1
-            prefixes[depth] = prefix
             masks[depth] = mask | (1 << t)
             nexts[depth] = t + 1
             bound = t + rho2
             bounds[depth] = bound if bound < rho[depth] else rho[depth]
+        else:
+            yield trusted(m, tuple(elems))
 
 
 def shadow_representatives(
     sgp: NumericalSemigroup,
     m: int,
-    r: int | range,
+    r: int,
     *,
     admit: Callable[[int, int], bool] | None = None,
 ) -> Iterator[Configuration]:

@@ -312,7 +312,7 @@ def _cmd_amenable(args: argparse.Namespace) -> int:
         raise InvalidInput("amenable takes a single --r value")
     source = shadow_representatives if args.representatives else enumerate_amenable
     # each set is written as the search yields it, so memory stays flat
-    configs = enumerate(source(sgp, m, rs))
+    configs = enumerate(source(sgp, m, rs.start))
     with _output(args.out) as fh:
         if args.format == "ascii":
             upper = m + sgp.largest_generator

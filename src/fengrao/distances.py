@@ -66,27 +66,30 @@ def feng_rao_distances(
 ) -> list[FengRaoResult]:
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
-    The search to depth max(rs) walks the amenable sets of each size in
-    rs in lexicographic order, one per shadow and size.  Bit i
-    of the frame stands for m - c + 1 + i: for x = m + t, D(x) is all of
-    S up to m - c, then the bits [0, t) and R << t.  Each prefix keeps the
-    OR U of its R << t, so a set costs one OR and one bit count, and the
-    m - c + 1 - g divisors every set shares are added once, to the results.
+    The search walks the amenable sets up to size max(rs), one per shadow
+    and size, in pre-order, and does all its work in the walker's
+    ``admit`` hook.  Bit i of the frame stands for m - c + 1 + i: for
+    x = m + t, D(x) is all of S up to m - c, then the bits [0, t) and
+    R << t.  The hook keeps, per size, the union U of the R << t of the
+    last set admitted, so a set costs one OR and one bit count, and the
+    m - c + 1 - g divisors every set shares are added once, to the
+    results.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size r
-    under P has at least #D(P) + (r - k) divisors.  The walker asks the
-    ``admit`` hook about each candidate before it builds it, and the hook
-    counts it from its prefix's union and refuses it, with all its
+    under P has at least #D(P) + (r - k) divisors.  The hook counts each
+    candidate before the walker builds it and refuses it, with all its
     extensions, unless the count beats the best so far for its own size
-    or leaves room to beat it for some requested r > k.  A refused set's
-    extensions could not win, so nothing else cuts a subtree.  Sets of one
-    shadow and size share one count and the thresholds only fall, so the
-    one set per shadow and size that the walker draws is the first of its
-    group in lexicographic order, and a set it skips could not win: it
-    has the count of a set the walker reaches earlier.  Only a strictly
-    smaller count replaces the best, so each size keeps its first minimum
-    in lexicographic order, the witness the unbounded search gives.
+    or leaves room to beat it for some requested r > k; an admitted set
+    with a smaller count than the best of its size becomes that size's
+    best, and the thresholds are recomputed.  A refused set's extensions
+    could not win, so nothing else cuts a subtree.  Sets of one shadow
+    and size share one count and the thresholds only fall, so the one set
+    per shadow and size that the walker draws is the first of its group
+    in lexicographic order, and a set it skips could not win: it has the
+    count of a set the walker reaches earlier.  Only a strictly smaller
+    count replaces the best, so each size keeps its first minimum in
+    lexicographic order, the witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:
@@ -94,12 +97,15 @@ def feng_rao_distances(
     lo, hi = sizes.start, sizes[-1]
     rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R of the docstring
 
-    # size k: the frame union and the frame count of the last k-element set
+    # size k: the element and the frame union of the last k-element set
     # admitted.  The walker asks admit about a k-element set only while its
-    # (k-1)-prefix is the last one admitted, and yields a set right after
-    # admitting it, so counts[r] is the count of the set the loop below reads.
+    # (k-1)-prefix is the last one admitted, so elems[1..k] is that set.
+    elems = [0] * (hi + 1)
     unions = [0] * (hi + 1)
-    counts = [0] * (hi + 1)
+    # size -> least count so far and its set; -inf for the sizes below lo,
+    # which no set of theirs can improve
+    best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
+    witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
     # thr[k]: a k-element set is kept only if its count is below thr[k]
     thr: list[float] = [inf] * (hi + 1)
 
@@ -109,27 +115,22 @@ def feng_rao_distances(
         count = t + (union >> t).bit_count()
         if count >= thr[k]:
             return False
-        unions[k], counts[k] = union, count
-        return True
-
-    # size -> least count so far; -inf for the sizes below lo, which no set
-    # of theirs can improve
-    best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
-    witnesses: list[Configuration | None] = [None] * (hi + 1)
-    for config in shadow_representatives(sgp, m, sizes, admit=admit):
-        r = len(config.elements)
-        c = counts[r]
-        if c < best[r]:
-            best[r] = c
-            witnesses[r] = config
+        unions[k], elems[k] = union, x
+        if count < best[k]:
+            best[k] = count
+            witnesses[k] = tuple(elems[1 : k + 1])
             # a k-element set is worth keeping if it beats best[k], or if a
             # set of some requested size j > k under it may beat best[j]:
             # those have at least count + (j - k) divisors.  top is the
             # largest best[j] - j over requested j > k
             top = -inf
-            for k in range(hi, 0, -1):
-                thr[k] = max(best[k], top + k)
-                top = max(top, best[k] - k)
+            for j in range(hi, 0, -1):
+                thr[j] = max(best[j], top + j)
+                top = max(top, best[j] - j)
+        return True
+
+    for _ in shadow_representatives(sgp, m, hi, admit=admit):
+        pass
     shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
     offset = m + 1 - 2 * sgp.genus
     return [
@@ -138,7 +139,7 @@ def feng_rao_distances(
             r=r,
             delta=shared + best[r],
             e_number=shared + best[r] - offset,
-            witness=witnesses[r],
+            witness=Configuration._trusted(m, witnesses[r]),
         )
         for r in sizes
     ]

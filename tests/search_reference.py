@@ -1,9 +1,9 @@
 """Unbounded reference for the generic Feng-Rao search.
 
 This is the minimization that the branch-and-bound search replaced: it
-walks every amenable set up to size max(rs), with no cut and no rule
-that skips sets of a shadow already seen, and sums the ground divisor
-union and the elements above the ground of each.  Sets of one shadow and
+walks every amenable set of each size in rs, one walk per size, with no
+cut and no rule that skips sets of a shadow already seen, and sums the
+ground divisor union and the elements above the ground of each.  Sets of one shadow and
 size have equal counts, and only a strictly smaller count replaces the
 best, so each size keeps its first minimum in lexicographic order.  The
 tests hold ``feng_rao_distances`` against it, delta and witness.
@@ -17,17 +17,20 @@ def reference_distances(sgp, m: int, rs: range) -> list[tuple[int, tuple[int, ..
     """(delta, witness elements) for each r in rs, by the unbounded search."""
     upper = m + sgp.largest_generator
     ground_masks = _divisor_masks(sgp, m, min(upper, m + sgp.rho(rs[-1]) + 1))
-    best: dict[int, tuple[int, tuple[int, ...]]] = {}
-    for config in enumerate_amenable(sgp, m, rs):
-        elements = config.elements
-        union = 0
-        above = r = len(elements)
-        for x in elements:
-            if x >= upper:
-                break
-            union |= ground_masks[x - m]
-            above -= 1
-        count = above + union.bit_count()
-        if r not in best or count < best[r][0]:
-            best[r] = (count, elements)
-    return [best[r] for r in rs]
+    results = []
+    for r in rs:
+        best = None
+        for config in enumerate_amenable(sgp, m, r):
+            elements = config.elements
+            union = 0
+            above = r
+            for x in elements:
+                if x >= upper:
+                    break
+                union |= ground_masks[x - m]
+                above -= 1
+            count = above + union.bit_count()
+            if best is None or count < best[0]:
+                best = (count, elements)
+        results.append(best)
+    return results

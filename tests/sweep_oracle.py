@@ -15,7 +15,10 @@ every r <= c + 1 as well (brute force took 56 s for r = 40 alone on
 <11, 13>, c = 120).  For the same semigroups and sizes it also runs the
 generic search at m = 2c - 1 + 10^6, past the element guard of the
 divisor masks, and checks delta and witness against the 2c - 1 answer
-translated by 10^6.  Part four compares the bitmask ``divisors`` with
+translated by 10^6.  Its second half compares brute force with the
+generic search, delta and witness, at m = 2c - 1 and every r <= c + 1 on
+every semigroup of genus <= 12 with c >= 2 (1,412 of the 1,413, from
+``corpus.semigroups_by_genus``).  Part four compares the bitmask ``divisors`` with
 the double loop {p <= x : p in S, x - p in S} at every element
 x <= 2c + 2n_e, ``divisors_above(y, x)`` with D(y) cut to [x, inf)
 at every c <= x <= y in that range, and ``divisors_of_set`` with the
@@ -33,8 +36,8 @@ it prints every semigroup where E(S, c) != rho_c, one size below the
 r >= c + 1 where E = rho_r is known, and, kept apart, every one where
 E(S, c - 1) != rho_(c-1), which fails on <a..2a-1>.  It reads E from the
 closed form on <a..a+b> with b < a <= amax, and from the generic search
-on the corpus and on the semigroups with c <= 60 among the first 3,000
-of a seeded random stream.
+on the corpus, on the semigroups with c <= 60 among the first 3,000 of a
+seeded random stream, and on every semigroup of genus <= 14 with c >= 2.
 """
 
 from __future__ import annotations
@@ -45,7 +48,7 @@ import sys
 import time
 
 # tests/, the script's directory, is on sys.path
-from corpus import CORPUS, random_semigroups
+from corpus import CORPUS, random_semigroups, semigroups_by_genus
 from interval_reference import block_walk_decompose
 
 from fengrao import (
@@ -75,6 +78,8 @@ RANDOM_SEMIGROUPS = 8
 RANDOM_CMAX = 2_000
 OBSERVE_CMAX = 60
 OBSERVE_DRAWS = 3_000
+GENUS_BRUTE = 12  # brute force against generic on every semigroup up to this genus
+GENUS_OBSERVE = 14  # and the E(S, c) observation
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -131,6 +136,25 @@ def sweep_generic() -> tuple[int, int, list[tuple]]:
                 mismatches.append((gens, far.m, far.r, near.delta + FAR_SHIFT, far.delta,
                                    moved, far.witness.elements))
     return points, shifted, mismatches
+
+
+def every_semigroup(max_genus: int) -> list:
+    """Every numerical semigroup of genus <= max_genus with c >= 2."""
+    return [s for level in semigroups_by_genus(max_genus) for s in level if s.conductor >= 2]
+
+
+def sweep_genus() -> tuple[int, int, list[tuple]]:
+    semigroups = every_semigroup(GENUS_BRUTE)
+    points, mismatches = 0, []
+    for s in semigroups:
+        m = smallest_asymptotic_base(s)
+        for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
+            points += 1
+            brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
+            if (brute.delta, brute.witness) != (res.delta, res.witness):
+                mismatches.append((s.minimal_generators, res.r, brute.delta, res.delta,
+                                   brute.witness.elements, res.witness.elements))
+    return len(semigroups), points, mismatches
 
 
 def banded_semigroups(count: int, cmax: int, seed: int) -> list:
@@ -190,6 +214,7 @@ def observe_rho_at_conductor(amax: int) -> tuple[int, list[tuple], list[tuple]]:
             )
     draws = [from_generators(gens) for gens in CORPUS]
     draws += [s for _, s in zip(range(OBSERVE_DRAWS), random_semigroups(16))]
+    draws += every_semigroup(GENUS_OBSERVE)
     for s in draws:
         c = s.conductor
         if c < 2 or c > OBSERVE_CMAX or as_interval(s) or s.minimal_generators in numbers:
@@ -234,6 +259,11 @@ def main(argv: list[str] | None = None) -> int:
            f"translated ({shifted} x)",
            points + shifted, generic, time.perf_counter() - t0)
     t0 = time.perf_counter()
+    semigroups, points, genus = sweep_genus()
+    report(f"brute vs generic, delta and witness, every semigroup of genus <= "
+           f"{GENUS_BRUTE} with c >= 2 ({semigroups}), r <= c + 1, m = 2c-1",
+           points, genus, time.perf_counter() - t0)
+    t0 = time.perf_counter()
     points, cuts, unions, divs = sweep_divisors()
     report(f"bitmask divisors vs double loop ({points} x), divisors_above vs "
            f"D(y) cut to [x, inf) ({cuts} pairs) and divisors_of_set vs the union "
@@ -245,13 +275,14 @@ def main(argv: list[str] | None = None) -> int:
     points, at_c, below_c = observe_rho_at_conductor(args.amax)
     print(f"observed: E(S, c) = rho_c on {points - len(at_c)} of {points} semigroups "
           f"(<a..a+b> with b < a <= {args.amax}, corpus, c <= {OBSERVE_CMAX} among "
-          f"{OBSERVE_DRAWS} random), {time.perf_counter() - t0:.1f} s")
+          f"{OBSERVE_DRAWS} random, genus <= {GENUS_OBSERVE}), "
+          f"{time.perf_counter() - t0:.1f} s")
     for gens, r, e, rho in at_c:
         print(f"  counterexample {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
     print(f"observed: E(S, c - 1) = rho_(c-1) on {points - len(below_c)} of {points}")
     for gens, r, e, rho in below_c:
         print(f"  miss {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
-    return 1 if decomposed or closed or generic or divs else 0
+    return 1 if decomposed or closed or generic or genus or divs else 0
 
 
 if __name__ == "__main__":

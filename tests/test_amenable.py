@@ -173,22 +173,6 @@ def test_enumerate_matches_exhaustive_definition():
             assert list(shadow_representatives(s, m, r)) == first, (gens, r)
 
 
-def test_range_form_equals_per_size_searches():
-    # one search over a range of sizes gives, size by size, what the
-    # search for each size alone gives, and the whole stream is sorted
-    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
-        s = from_generators(gens)
-        m = smallest_asymptotic_base(s)
-        for lo in (0, 1, 3):
-            sizes = range(lo, rmax + 1)
-            for source in (enumerate_amenable, shadow_representatives):
-                got = [c.elements for c in source(s, m, sizes)]
-                assert got == sorted(got), (gens, lo, source.__name__)
-                for k in sizes:
-                    alone = [c.elements for c in source(s, m, k)]
-                    assert [e for e in got if len(e) == k] == alone, (gens, k)
-
-
 class PathHook:
     """An admit hook that rebuilds each candidate from the per-size state.
 
@@ -211,42 +195,51 @@ class PathHook:
         return True
 
 
+def pre_order(sgp, m, r):
+    """Every amenable set of size 1..r, a prefix before its extensions.
+
+    Tuple order puts a prefix before its extensions, so this is the
+    order in which the walker to depth r asks about them.
+    """
+    return sorted(c.elements for k in range(1, r + 1) for c in enumerate_amenable(sgp, m, k))
+
+
 def test_always_true_hook_gives_the_unhooked_stream():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
-        for sizes in (rmax, range(1, rmax + 1), range(3, rmax + 1)):
+        for r in range(rmax + 1):
             for source in (enumerate_amenable, shadow_representatives):
-                hooked = list(source(s, m, sizes, admit=lambda k, x: True))
-                assert hooked == list(source(s, m, sizes)), (gens, sizes)
+                hooked = list(source(s, m, r, admit=lambda k, x: True))
+                assert hooked == list(source(s, m, r)), (gens, r)
 
 
 def test_hook_is_asked_once_per_candidate_before_its_yield():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
-        # every amenable set of size 1..rmax is a candidate, in order
-        every = [c.elements for c in enumerate_amenable(s, m, range(1, rmax + 1))]
-        for sizes in (rmax, range(1, rmax + 1), range(3, rmax + 1)):
+        for r in (3, rmax):
             hook = PathHook()
-            for config in enumerate_amenable(s, m, sizes, admit=hook):
+            for config in enumerate_amenable(s, m, r, admit=hook):
                 # the set is yielded right after it is admitted, and the
                 # per-size state describes it
                 elements = config.elements
-                assert hook.asked[-1] == (len(elements), elements[-1])
-                assert hook.last[len(elements)] == elements
-            assert hook.asked == [(len(e), e[-1]) for e in every], (gens, sizes)
+                assert hook.asked[-1] == (r, elements[-1])
+                assert hook.last[r] == elements
+            # every amenable set of size 1..r is a candidate, in pre-order
+            assert hook.asked == [(len(e), e[-1]) for e in pre_order(s, m, r)], (gens, r)
 
 
 def test_refused_candidate_drops_its_extensions():
     s = from_generators([5, 6, 7])
     m = smallest_asymptotic_base(s)
-    sizes = range(1, 6)
-    every = [c.elements for c in enumerate_amenable(s, m, sizes)]
+    every = pre_order(s, m, 5)
     for refused in [e for e in every if len(e) in (2, 3)]:
         hook = PathHook(refuse=[refused])
-        got = [c.elements for c in enumerate_amenable(s, m, sizes, admit=hook)]
-        assert got == [e for e in every if e[: len(refused)] != refused], refused
+        got = [c.elements for c in enumerate_amenable(s, m, 5, admit=hook)]
+        assert got == [
+            e for e in every if len(e) == 5 and e[: len(refused)] != refused
+        ], refused
         # it is asked about, and none of its extensions is
         k = len(refused)
         assert hook.asked == [
@@ -265,16 +258,21 @@ def test_size_bound_refuses_before_allocating(monkeypatch):
     monkeypatch.setattr(NumericalSemigroup, "rho", refuse)
     s = from_generators([4, 5])
     m = smallest_asymptotic_base(s)
-    for r in (10**12, range(1, 10**12 + 1), amenable._MAX_SIZE + 1):
+    for r in (10**12, amenable._MAX_SIZE + 1):
         with pytest.raises(InvalidInput, match="limit"):
             next(enumerate_amenable(s, m, r))
         with pytest.raises(InvalidInput, match="limit"):
             next(shadow_representatives(s, m, r))
     with pytest.raises(Allocated):
         list(enumerate_amenable(s, m, amenable._MAX_SIZE))
-    for r in (range(1, 6, 2), -1, range(-1, 3), 2.0):
-        with pytest.raises(InvalidInput):
+    # a range of sizes is refused before rho is reached, like any non-int
+    for r in (range(1, 4), range(3, 4), range(1, 10**12 + 1), range(1, 6, 2), 2.0):
+        with pytest.raises(InvalidInput, match="must be an int"):
             next(enumerate_amenable(s, m, r))
+        with pytest.raises(InvalidInput, match="must be an int"):
+            next(shadow_representatives(s, m, r))
+    with pytest.raises(InvalidInput, match=">= 0"):
+        next(enumerate_amenable(s, m, -1))
 
 
 def test_offset_bound_refuses_before_the_table(monkeypatch):
@@ -293,12 +291,11 @@ def test_offset_bound_refuses_before_the_table(monkeypatch):
     # a rho_r equal to the limit is walked, one above it is refused
     s = from_generators([4, 5])
     m = smallest_asymptotic_base(s)
-    walked = list(enumerate_amenable(s, m, range(1, 8)))
+    walked = list(enumerate_amenable(s, m, 7))
     monkeypatch.setattr(amenable, "_MAX_RHO", s.rho(7))
-    assert list(enumerate_amenable(s, m, range(1, 8))) == walked
-    for r in (8, range(1, 9)):
-        with pytest.raises(InvalidInput, match=f"rho_8 = {s.rho(8)} is above the limit"):
-            next(enumerate_amenable(s, m, r))
+    assert list(enumerate_amenable(s, m, 7)) == walked
+    with pytest.raises(InvalidInput, match=f"rho_8 = {s.rho(8)} is above the limit"):
+        next(enumerate_amenable(s, m, 8))
 
 
 def test_enumerate_is_lexicographic():
@@ -319,13 +316,10 @@ def test_element_bounds():
 
 
 # (amenable sets, shadow representatives) at 2c-1 for the benchmark's
-# deep-r and wide-ground semigroups, for one size or the sizes 1..7 at
-# once; a change to the work done shows here
+# deep-r and wide-ground semigroups; a change to the work done shows here
 ENUMERATION_WORK = {
-    (14, 15): {3: (92, 92), 5: (1237, 1202), 7: (7067, 5250), range(1, 8): (11996, 9786)},
-    tuple(range(16, 25)): {
-        3: (121, 121), 5: (1941, 1941), 7: (9949, 9949), range(1, 8): (17548, 17548),
-    },
+    (14, 15): {3: (92, 92), 5: (1237, 1202), 7: (7067, 5250)},
+    tuple(range(16, 25)): {3: (121, 121), 5: (1941, 1941), 7: (9949, 9949)},
 }
 
 
