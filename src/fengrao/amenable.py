@@ -44,9 +44,9 @@ from .semigroup import NumericalSemigroup
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> took 0.05 s for r 1..60, 0.75 s for r 1..200 and 1.3 s for
-# r 1..1000 on a 2-vCPU Xeon VM.  The bound refuses absurd sizes before
-# the per-depth lists are allocated.
+# <16, 17> took 0.04-0.07 s for r 1..60, 0.74-1.0 s for r 1..200 and
+# 0.70-1.01 s for r 1..1000 on a 2-vCPU Xeon VM.  The bound refuses absurd
+# sizes before the per-depth lists are allocated.
 _MAX_SIZE = 10_000
 # Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
 # rho_r bits, about rho_r^2 / 16 bytes: 64 MB at most here, in line with
@@ -149,6 +149,13 @@ def _size_range(r: int | range) -> range:
     return sizes
 
 
+def _one_size(r: int) -> range:
+    """The one size r, as a range; refuses a non-int before any work starts."""
+    if not isinstance(r, int):
+        raise InvalidInput(f"configuration size must be an int, got {r!r}")
+    return _size_range(r)
+
+
 def enumerate_amenable(
     sgp: NumericalSemigroup,
     m: int,
@@ -180,14 +187,12 @@ def enumerate_amenable(
     t in range are in P), has the size and shadow of Q', so its divisor
     count, sits under P + t, and meets the walker's bounds, as each
     element and gap of Q is at most one of Q' or P + t'.  A hook that
-    answers from the count against thresholds that only fall, as the
-    distance search's does, refuses Q's prefixes whenever it would
+    answers from the size and count against a bound that only falls, as
+    the distance search's does, refuses Q's prefixes whenever it would
     refuse those of Q'.
     """
     check_base(sgp, m)
-    if not isinstance(r, int):
-        raise InvalidInput(f"configuration size must be an int, got {r!r}")
-    _size_range(r)
+    _one_size(r)
     trusted = Configuration._trusted
     if r == 0:
         yield trusted(m, ())
@@ -250,8 +255,8 @@ def shadow_representatives(
     enumerate_amenable with ``one_per_shadow``: the walker draws these
     sets itself and drops none.  An ``admit`` hook is asked only about the
     candidates the walker still scans; the distance search's hook answers
-    from the divisor count, which one shadow and size share, against
-    thresholds that only fall, so each set it draws is still the first
-    of its group.
+    from the divisor count, which one shadow and size share, against a
+    bound that only falls, so each set it draws is still the first of
+    its group.
     """
     yield from enumerate_amenable(sgp, m, r, admit=admit, one_per_shadow=True)

@@ -11,9 +11,9 @@ the rest of D(M) depends on the offsets x - m alone: with t = max(M) - m,
 #D(M) = (m - c + 1 - g) + t + popcount(U >> t), where U ORs R << (x - m)
 over x in M and R has bit c - 1 - s for each element s < c.  The search
 counts in that frame of c + t bits, whatever m is.  It walks the amenable
-sets and refuses each candidate, before it is built, whose count cannot
-beat the best one found, for its own size or any larger requested one;
-its extensions go with it.  A no-theory branch-and-bound search over all
+sets and refuses each candidate, with its extensions, before it is built,
+once its count less its size reaches best[max r] - max r: one number bounds
+every size, as best[r] - r never falls as r grows.  A no-theory branch-and-bound search over all
 r-subsets, pruned by the counts of full divisor masks alone, is the
 independent oracle, of the frame identity too.
 """
@@ -25,6 +25,7 @@ from math import comb, inf
 
 from .amenable import (
     Configuration,
+    _one_size,
     _size_range,
     check_base,
     shadow_representatives,
@@ -76,17 +77,20 @@ def feng_rao_distances(
     results.
 
     Branch and bound: every element added to a set P of size k is
-    larger than all of P, so it is a new divisor, and a set of size r
-    under P has at least #D(P) + (r - k) divisors.  The hook counts each
-    candidate before the walker builds it and refuses it, with all its
-    extensions, unless the count beats the best so far for its own size
-    or leaves room to beat it for some requested r > k; an admitted set
-    with a smaller count than the best of its size becomes that size's
-    best, and the thresholds are recomputed.  A refused set's extensions
-    could not win, so nothing else cuts a subtree.  Sets of one shadow
-    and size share one count and the thresholds only fall, so the one set
-    per shadow and size that the walker draws is the first of its group
-    in lexicographic order, and a set it skips could not win: it has the
+    larger than all of P, so it is a new divisor, and a set of size j
+    under P has at least #D(P) + (j - k) divisors.  With hi = max(rs),
+    the hook refuses a k-set of count n, with its extensions, when
+    n - k >= best[hi] - hi, and a set it admits below the best of its
+    size becomes that size's best.  One number is enough, as best[j] - j
+    never falls as j grows over lo..hi: best[j+1] only takes the count
+    of an admitted (j+1)-set Q, whose j-prefix P was admitted before and
+    compared with best[j], so best[j] <= #D(P) <= #D(Q) - 1 (Q's largest
+    element divides itself and no smaller element), and best[j] only
+    falls afterwards.  So neither a refused set nor its extensions can
+    beat best[j] at any requested j >= k.  Sets of one shadow and size
+    share one count and the bound only falls, so the one set per shadow
+    and size that the walker draws is the first of its group in
+    lexicographic order, and a set it skips could not win: it has the
     count of a set the walker reaches earlier.  Only a strictly smaller
     count replaces the best, so each size keeps its first minimum in
     lexicographic order, the witness the unbounded search gives.
@@ -106,27 +110,17 @@ def feng_rao_distances(
     # which no set of theirs can improve
     best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
     witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
-    # thr[k]: a k-element set is kept only if its count is below thr[k]
-    thr: list[float] = [inf] * (hi + 1)
 
     def admit(k: int, x: int) -> bool:
         t = x - m
         union = unions[k - 1] | (rev << t)
         count = t + (union >> t).bit_count()
-        if count >= thr[k]:
+        if count - k >= best[hi] - hi:
             return False
         unions[k], elems[k] = union, x
         if count < best[k]:
             best[k] = count
             witnesses[k] = tuple(elems[1 : k + 1])
-            # a k-element set is worth keeping if it beats best[k], or if a
-            # set of some requested size j > k under it may beat best[j]:
-            # those have at least count + (j - k) divisors.  top is the
-            # largest best[j] - j over requested j > k
-            top = -inf
-            for j in range(hi, 0, -1):
-                thr[j] = max(best[j], top + j)
-                top = max(top, best[j] - j)
         return True
 
     for _ in shadow_representatives(sgp, m, hi, admit=admit):
@@ -147,7 +141,7 @@ def feng_rao_distances(
 
 def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
     """delta^r(m): feng_rao_distances for the one size r."""
-    return feng_rao_distances(sgp, m, range(r, r + 1))[0]
+    return feng_rao_distances(sgp, m, _one_size(r))[0]
 
 
 def feng_rao_number(sgp: NumericalSemigroup, r: int) -> FengRaoResult:
@@ -182,7 +176,7 @@ def brute_force_distance(
     """
     if max_subsets < 0:
         raise InvalidInput(f"subset cap must be >= 0, got {max_subsets}")
-    _check_args(sgp, m, r)
+    _check_args(sgp, m, _one_size(r))
     n = sgp.rho(r)  # the candidates m + 1 .. m + n: every integer >= m is in S
     total = comb(n, r - 1)
     if total > max_subsets:

@@ -14,6 +14,7 @@ from fengrao import (
     divisors_of_set,
     enumerate_amenable,
     feng_rao_distance,
+    feng_rao_number,
     from_generators,
     interval_extra_divisors,
     interval_semigroup,
@@ -265,12 +266,19 @@ def test_size_bound_refuses_before_allocating(monkeypatch):
             next(shadow_representatives(s, m, r))
     with pytest.raises(Allocated):
         list(enumerate_amenable(s, m, amenable._MAX_SIZE))
-    # a range of sizes is refused before rho is reached, like any non-int
+    # a range of sizes is refused before rho is reached, like any non-int,
+    # by the walker and by every function that takes one size
     for r in (range(1, 4), range(3, 4), range(1, 10**12 + 1), range(1, 6, 2), 2.0):
         with pytest.raises(InvalidInput, match="must be an int"):
             next(enumerate_amenable(s, m, r))
         with pytest.raises(InvalidInput, match="must be an int"):
             next(shadow_representatives(s, m, r))
+        with pytest.raises(InvalidInput, match="must be an int"):
+            feng_rao_distance(s, m, r)
+        with pytest.raises(InvalidInput, match="must be an int"):
+            feng_rao_number(s, r)
+        with pytest.raises(InvalidInput, match="must be an int"):
+            brute_force_distance(s, m, r)
     with pytest.raises(InvalidInput, match=">= 0"):
         next(enumerate_amenable(s, m, -1))
 

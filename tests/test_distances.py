@@ -381,6 +381,13 @@ def test_bounded_search_work_is_pinned(monkeypatch, case):
     assert (work["asked"], work["admitted"], work["shadows"]) == expected
     # the walker draws one set per shadow itself: nothing is left to drop
     assert work["sets"] == work["shadows"]
+    # only max(rs) steers the bound: the bottom of the range changes no work
+    for lo in (rmax, rmax // 2):
+        work.update(asked=0, admitted=0)
+        for gens in gens_list:
+            s = from_generators(gens)
+            feng_rao_distances(s, smallest_asymptotic_base(s), range(lo, rmax + 1))
+        assert (work["asked"], work["admitted"]) == expected[:2], lo
 
 
 def test_generic_equals_brute_force_up_to_c_plus_1():
@@ -408,12 +415,16 @@ def test_generic_equals_brute_force_on_every_semigroup_up_to_genus_10():
         if s.conductor < 2:
             continue
         m = smallest_asymptotic_base(s)
-        for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
+        results = feng_rao_distances(s, m, range(1, s.conductor + 2))
+        for res in results:
             brute = brute_force_distance(s, m, res.r, max_subsets=float("inf"))
             assert (res.delta, res.witness) == (brute.delta, brute.witness), (
                 s.minimal_generators, res.r,
             )
             points += 1
+        # the invariant behind the search's one-number bound
+        for below, above in zip(results, results[1:]):
+            assert above.delta >= below.delta + 1, (s.minimal_generators, above.r)
     assert points == 7278
 
 
