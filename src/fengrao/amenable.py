@@ -35,11 +35,10 @@ each depth's scan after its first admitted candidate above the ground.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Callable, Iterator
 
 from .errors import InvalidInput
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _Record
 
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
@@ -54,39 +53,38 @@ _MAX_SIZE = 10_000
 _MAX_RHO = 1 << 15
 
 
-@dataclass(frozen=True)
-class Configuration:
+class Configuration(_Record):
     """A finite sorted subset of S cut to [base, infinity)."""
 
-    base: int
-    elements: tuple[int, ...]
+    __slots__ = ("base_", "elements_")
 
-    def __post_init__(self) -> None:
-        if any(a >= b for a, b in zip(self.elements, self.elements[1:])):
+    def __init__(self, base: int, elements: tuple[int, ...]) -> None:
+        if any(a >= b for a, b in zip(elements, elements[1:])):
             raise InvalidInput("configuration elements must be strictly increasing")
-        if self.elements and self.elements[0] != self.base:
+        if elements and elements[0] != base:
             raise InvalidInput(
-                f"least element {self.elements[0]} differs from base {self.base}"
+                f"least element {elements[0]} differs from base {base}"
             )
+        self.base_ = base
+        self.elements_ = elements
 
     @classmethod
     def _trusted(cls, base: int, elements: tuple[int, ...]) -> Configuration:
         """Build without validation, for callers that guarantee the invariants."""
         config = object.__new__(cls)
-        fields = config.__dict__
-        fields["base"] = base
-        fields["elements"] = elements
+        config.base_ = base
+        config.elements_ = elements
         return config
 
     def __len__(self) -> int:
-        return len(self.elements)
+        return len(self.elements_)
 
     def __iter__(self) -> Iterator[int]:
-        return iter(self.elements)
+        return iter(self.elements_)
 
     def offsets(self) -> tuple[int, ...]:
         """The elements minus the base, so the base is offset 0."""
-        return tuple(x - self.base for x in self.elements)
+        return tuple(x - self.base_ for x in self.elements_)
 
 
 def smallest_asymptotic_base(sgp: NumericalSemigroup) -> int:

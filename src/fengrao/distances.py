@@ -20,7 +20,6 @@ independent oracle, of the frame identity too.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, inf
 
 from .amenable import (
@@ -33,23 +32,25 @@ from .amenable import (
 )
 from .divisors import _divisor_masks, _element_masks
 from .errors import InvalidInput, SearchSpaceTooLarge
-from .semigroup import NumericalSemigroup
+from .semigroup import NumericalSemigroup, _Record
 
 DEFAULT_SUBSET_CAP = 50_000_000
 
 
-@dataclass(frozen=True)
-class FengRaoResult:
+class FengRaoResult(_Record):
     """Outcome of a distance or Feng-Rao-number computation."""
 
-    m: int
-    r: int
-    delta: int
-    e_number: int
-    witness: Configuration
+    __slots__ = ("m_", "r_", "delta_", "e_number_", "witness_")
 
-    def __post_init__(self) -> None:
-        assert len(self.witness) == self.r
+    def __init__(
+        self, m: int, r: int, delta: int, e_number: int, witness: Configuration
+    ) -> None:
+        assert len(witness) == r
+        self.m_ = m
+        self.r_ = r
+        self.delta_ = delta
+        self.e_number_ = e_number
+        self.witness_ = witness
 
 
 def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:

@@ -14,21 +14,22 @@ above the element guard of ``semigroup`` is refused first.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput
-from .semigroup import NumericalSemigroup, _check_element
+from .semigroup import NumericalSemigroup, _check_element, _Record
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
 
-@dataclass(frozen=True)
-class DivisorSet:
+class DivisorSet(_Record):
     """Divisors as the int ``mask`` with bit d set for each divisor d."""
 
-    mask: int
+    __slots__ = ("mask_",)
+
+    def __init__(self, mask: int) -> None:
+        self.mask_ = mask
 
     @property
     def elements(self) -> tuple[int, ...]:
@@ -36,14 +37,14 @@ class DivisorSet:
         return tuple(self)
 
     def __len__(self) -> int:
-        return self.mask.bit_count()
+        return self.mask_.bit_count()
 
     def __iter__(self) -> Iterator[int]:
-        bits = bin(self.mask)[:1:-1].encode().translate(_BIT_VALUES)  # bit d at d
+        bits = bin(self.mask_)[:1:-1].encode().translate(_BIT_VALUES)  # bit d at d
         return compress(range(len(bits)), bits)
 
     def __contains__(self, n: int) -> bool:
-        return n >= 0 and (self.mask >> n) & 1 == 1
+        return n >= 0 and (self.mask_ >> n) & 1 == 1
 
     def __repr__(self) -> str:  # a decimal mask fails past 4,300 digits
         return f"DivisorSet(elements={self.elements})"

@@ -18,13 +18,12 @@ i >= a vanish because a - i stays in (-b, 0] for i < a + b.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import isqrt
 
 from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, divisors_above
 from .errors import InvalidInput
-from .semigroup import NumericalSemigroup, _check_element, from_generators
+from .semigroup import NumericalSemigroup, _check_element, _Record, from_generators
 
 
 def _ceildiv(p: int, q: int) -> int:
@@ -81,13 +80,15 @@ def _ceil_sum0(x: int, y: int, b: int) -> int:
     return 0 if x == 0 else ceil_sum(x, y, b)
 
 
-@dataclass(frozen=True)
-class HDecomposition:
+class HDecomposition(_Record):
     """The unique (h, k, j) with r = h + b*h*(h-1)/2 + k*h + j."""
 
-    h: int
-    k: int
-    j: int
+    __slots__ = ("h_", "k_", "j_")
+
+    def __init__(self, h: int, k: int, j: int) -> None:
+        self.h_ = h
+        self.k_ = k
+        self.j_ = j
 
 
 def h_decompose(r: int, b: int) -> HDecomposition:
@@ -229,12 +230,14 @@ def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
     return Configuration(base=m, elements=tuple(sorted(elements)))
 
 
-@dataclass(frozen=True)
-class WagonPivot:
+class WagonPivot(_Record):
     """Rightmost occupied column of a configuration and its top element."""
 
-    wagon: tuple[int, ...]
-    pivot: int
+    __slots__ = ("wagon_", "pivot_")
+
+    def __init__(self, wagon: tuple[int, ...], pivot: int) -> None:
+        self.wagon_ = wagon
+        self.pivot_ = pivot
 
 
 def wagon_pivot(a: int, b: int, config: Configuration) -> WagonPivot:

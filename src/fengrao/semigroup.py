@@ -11,15 +11,21 @@ writes S intersect [0, c] once, one slice per residue class from its
 least element, and keeps it as the small elements and as two private
 int masks (bit s, and bit c - s, for each small element s), which every
 divisor mask is cut or extended from.
+
+``_Record`` is the base of the package's immutable records: this
+module's semigroup, ``DivisorSet``, ``Configuration``, ``FengRaoResult``,
+``HDecomposition`` and ``WagonPivot``.  A record keeps its fields in
+slots and reads them through properties without a setter, so importing
+the package loads neither ``dataclasses`` nor the modules it pulls in.
 """
 
 from __future__ import annotations
 
 import heapq
 from bisect import bisect_right
-from dataclasses import dataclass, field
 from itertools import compress
 from math import gcd
+from operator import attrgetter
 from typing import Iterable, Sequence
 
 from .errors import InvalidInput
@@ -62,39 +68,110 @@ def _least_in_residues(gens: Sequence[int], mult: int) -> list[int]:
     return dist
 
 
-@dataclass(frozen=True)
-class NumericalSemigroup:
+def _tuple_getter(names: tuple[str, ...]):
+    """A function from a record to the tuple of its attributes ``names``."""
+    get = attrgetter(*names)
+    return get if len(names) > 1 else lambda record: (get(record),)
+
+
+class _Record:
+    """Base of the immutable records: ==, hash, repr, pickle and copy.
+
+    A subclass lists one slot per field in ``__slots__``, in constructor
+    order, named after the field with an underscore appended, and its
+    ``__init__`` sets them.  Each field f is then the property f over the
+    slot f_, with no setter or deleter, so assigning or deleting a field
+    raises AttributeError, and so does assigning any other name, as a
+    record has no ``__dict__``.  == and hash compare the first ``_compared`` fields
+    (all by default) of two records of one class, repr shows the fields
+    whose names do not start with an underscore, and pickle and copy
+    rebuild a record by calling its class with every field in order.
+    """
+
+    __slots__ = ()
+    _compared: int | None = None
+
+    def __init_subclass__(cls) -> None:
+        slots = cls.__slots__
+        fields = tuple(slot[:-1] for slot in slots)
+        for name, slot in zip(fields, slots):
+            setattr(cls, name, property(attrgetter(slot), doc=f"The {name} field."))
+        cls.__match_args__ = fields
+        cls._shown = tuple(name for name in fields if not name.startswith("_"))
+        cls._state = staticmethod(_tuple_getter(slots))
+        cls._key = staticmethod(_tuple_getter(slots[: cls._compared]))
+
+    def __eq__(self, other: object) -> bool:
+        if other.__class__ is self.__class__:
+            return self._key(self) == other._key(other)
+        return NotImplemented
+
+    def __hash__(self) -> int:
+        return hash(self._key(self))
+
+    def __repr__(self) -> str:
+        shown = ", ".join(f"{name}={getattr(self, name)!r}" for name in self._shown)
+        return f"{self.__class__.__qualname__}({shown})"
+
+    def __reduce__(self):
+        return self.__class__, self._state(self)
+
+
+class NumericalSemigroup(_Record):
     """Canonical form of a numerical semigroup.
 
     Build instances with :func:`from_generators`; the constructor assumes
     all fields are already consistent.
     """
 
-    minimal_generators: tuple[int, ...]
-    multiplicity: int
-    conductor: int
-    genus: int
-    small_elements: tuple[int, ...]
-    # least element of S in each residue class mod multiplicity
-    _least: tuple[int, ...] = field(repr=False)
-    # S intersect [0, c] as bit s, and reversed as bit c - s, for each small
-    # element s; both follow from _least, so they take no part in ==
-    _small_mask: int = field(repr=False, compare=False)
-    _small_rev: int = field(repr=False, compare=False)
+    __slots__ = (
+        "minimal_generators_",
+        "multiplicity_",
+        "conductor_",
+        "genus_",
+        "small_elements_",
+        # least element of S in each residue class mod multiplicity
+        "_least_",
+        # S intersect [0, c] as bit s, and reversed as bit c - s, for each
+        # small element s; both follow from _least, so they take no part in ==
+        "_small_mask_",
+        "_small_rev_",
+    )
+    _compared = 6
+
+    def __init__(
+        self,
+        minimal_generators: tuple[int, ...],
+        multiplicity: int,
+        conductor: int,
+        genus: int,
+        small_elements: tuple[int, ...],
+        _least: tuple[int, ...],
+        _small_mask: int,
+        _small_rev: int,
+    ) -> None:
+        self.minimal_generators_ = minimal_generators
+        self.multiplicity_ = multiplicity
+        self.conductor_ = conductor
+        self.genus_ = genus
+        self.small_elements_ = small_elements
+        self._least_ = _least
+        self._small_mask_ = _small_mask
+        self._small_rev_ = _small_rev
 
     def contains(self, n: int) -> bool:
         """True iff n is an element of S; a negative n is below every _least."""
-        return n >= self._least[n % self.multiplicity]
+        return n >= self._least_[n % self.multiplicity_]
 
     def rho(self, i: int) -> int:
         """i-th smallest element (1-based): rho(1) = 0, rho(2) = multiplicity."""
         if i < 1:
             raise InvalidInput(f"element index must be >= 1, got {i}")
-        small = self.small_elements
+        small = self.small_elements_
         if i <= len(small):
             return small[i - 1]
         # beyond the conductor the elements are consecutive integers
-        return self.genus + i - 1
+        return self.genus_ + i - 1
 
     @property
     def largest_generator(self) -> int:

@@ -1,5 +1,7 @@
 import ast
 import re
+import subprocess
+import sys
 import types
 from pathlib import Path
 
@@ -67,3 +69,22 @@ def test_every_public_name_and_member_has_a_docstring():
             if not (attr.__doc__ or "").strip():
                 missing.append(f"{name}.{member}")
     assert missing == []
+
+
+def test_cli_import_loads_no_introspection_module():
+    # every fengrao command pays this import; dataclasses alone would pull in
+    # inspect, ast, dis and tokenize, more than half of it
+    src = str(Path(fengrao.__file__).parent.parent)
+    probe = (
+        "import sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "before = set(sys.modules)\n"
+        "import fengrao.cli\n"
+        "print(' '.join(sorted(set(sys.modules) - before)))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    )
+    added = set(run.stdout.split())
+    assert "fengrao.cli" in added
+    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize"})
