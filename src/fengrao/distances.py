@@ -6,16 +6,17 @@ an r-element configuration starting at or above m: an OR of the
 an optimal configuration can be chosen amenable, the count only depends
 on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
-For such m every divisor at or below m - c divides every element, and
-the rest of D(M) depends on the offsets x - m alone: with t = max(M) - m,
-#D(M) = (m - c + 1 - g) + t + popcount(U >> t), where U ORs R << (x - m)
-over x in M and R has bit c - 1 - s for each element s < c.  The search
-counts in that frame of c + t bits, whatever m is.  It walks the amenable
-sets and refuses each candidate, with its extensions, before it is built,
-once its count less its size reaches best[max r] - max r: one number bounds
-every size, as best[r] - r never falls as r grows.  A no-theory branch-and-bound search over all
-r-subsets, pruned by the counts of full divisor masks alone, is the
-independent oracle, of the frame identity too.
+For such m a set M with top T has #D(M) = (m - c + 1 - g) + (T - m) +
+popcount(V), V its divisors among the c integers ending at T: elements up
+to m - c divide every x >= m, the integers in (m - c, T - c] are in S and
+divide T, and y > T - c divides x <= T only as x - s with s < c.  So
+x' > T gives V' = (V >> (x' - T)) | R, R with bit c - 1 - s for each
+element s < c, and the search counts in c bits whatever m and T are.  It
+refuses each amenable set, with its extensions, before building it, once
+its count less its size reaches best[max r] - max r: one number bounds
+every size, as best[r] - r never falls as r grows.  A no-theory
+branch-and-bound search over all r-subsets, pruned by full divisor mask
+counts alone, is the independent oracle, of the window identity too.
 """
 
 from __future__ import annotations
@@ -70,12 +71,12 @@ def feng_rao_distances(
 
     The search walks the amenable sets up to size max(rs), one per shadow
     and size, in pre-order, and does all its work in the walker's
-    ``admit`` hook.  Bit i of the frame stands for m - c + 1 + i: for
-    x = m + t, D(x) is all of S up to m - c, then the bits [0, t) and
-    R << t.  The hook keeps, per size, the union U of the R << t of the
-    last set admitted, so a set costs one OR and one bit count, and the
-    m - c + 1 - g divisors every set shares are added once, to the
-    results.
+    ``admit`` hook.  Bit i of a set's window V stands for T - c + 1 + i,
+    T its top, and #D = (m - c + 1 - g) + (T - m) + popcount(V).  A child
+    at x' > T shifts out of V only integers up to x' - c, which are in S,
+    divide x' and are counted in x' - m: V' = (V >> (x' - T)) | R.  So a
+    set costs one shift, one OR and one bit count, and the m - c + 1 - g
+    divisors every set shares are added once, to the results.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size j
@@ -102,23 +103,22 @@ def feng_rao_distances(
     lo, hi = sizes.start, sizes[-1]
     rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R of the docstring
 
-    # size k: the element and the frame union of the last k-element set
-    # admitted.  The walker asks admit about a k-element set only while its
-    # (k-1)-prefix is the last one admitted, so elems[1..k] is that set.
-    elems = [0] * (hi + 1)
-    unions = [0] * (hi + 1)
+    # size k: the top and the window of the last k-element set admitted
+    # (size 0: m and 0).  The walker asks admit about a k-element set only
+    # while its (k-1)-prefix is the last one admitted, so elems[1..k] is it.
+    elems = [m] + [0] * hi
+    windows = [0] * (hi + 1)
     # size -> least count so far and its set; -inf for the sizes below lo,
     # which no set of theirs can improve
     best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
     witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
 
     def admit(k: int, x: int) -> bool:
-        t = x - m
-        union = unions[k - 1] | (rev << t)
-        count = t + (union >> t).bit_count()
+        window = (windows[k - 1] >> (x - elems[k - 1])) | rev
+        count = x - m + window.bit_count()
         if count - k >= best[hi] - hi:
             return False
-        unions[k], elems[k] = union, x
+        windows[k], elems[k] = window, x
         if count < best[k]:
             best[k] = count
             witnesses[k] = tuple(elems[1 : k + 1])
@@ -127,13 +127,12 @@ def feng_rao_distances(
     for _ in shadow_representatives(sgp, m, hi, admit=admit):
         pass
     shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
-    offset = m + 1 - 2 * sgp.genus
     return [
         FengRaoResult(
             m=m,
             r=r,
             delta=shared + best[r],
-            e_number=shared + best[r] - offset,
+            e_number=best[r] + sgp.genus - sgp.conductor,  # delta - (m + 1 - 2g)
             witness=Configuration._trusted(m, witnesses[r]),
         )
         for r in sizes

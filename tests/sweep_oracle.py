@@ -38,6 +38,11 @@ E(S, c - 1) != rho_(c-1), which fails on <a..2a-1>.  It reads E from the
 closed form on <a..a+b> with b < a <= amax, and from the generic search
 on the corpus, on the semigroups with c <= 60 among the first 3,000 of a
 seeded random stream, and on every semigroup of genus <= 14 with c >= 2.
+
+Part six checks the Farran-Munuera bound E(S, r) <= rho_r, with equality
+for r >= c + 1, from the generic search at every r <= c + 2 on <10, 29>
+(c = 252), past the conductors of the tier-1 checks; a violation sets the
+exit code too.
 """
 
 from __future__ import annotations
@@ -80,6 +85,7 @@ OBSERVE_CMAX = 60
 OBSERVE_DRAWS = 3_000
 GENUS_BRUTE = 12  # brute force against generic on every semigroup up to this genus
 GENUS_OBSERVE = 14  # and the E(S, c) observation
+RHO_BOUND_GENS = (10, 29)  # c = 252
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -202,6 +208,19 @@ def sweep_divisors() -> tuple[int, int, int, list[tuple]]:
     return points, cuts, unions, mismatches
 
 
+def sweep_rho_bound() -> tuple[int, list[tuple]]:
+    """E(S, r) <= rho_r at every r <= c + 2, with equality from r = c + 1."""
+    s = from_generators(RHO_BOUND_GENS)
+    c = s.conductor
+    results = feng_rao_distances(s, smallest_asymptotic_base(s), range(1, c + 3))
+    mismatches = [
+        (res.r, res.e_number, s.rho(res.r))
+        for res in results
+        if res.e_number > s.rho(res.r) or (res.r > c and res.e_number != s.rho(res.r))
+    ]
+    return len(results), mismatches
+
+
 def observe_rho_at_conductor(amax: int) -> tuple[int, list[tuple], list[tuple]]:
     """The semigroups with E(S, c) != rho_c and those with E(S, c - 1) != rho_(c-1)."""
     numbers = {}  # generators -> (E(S, c - 1), E(S, c), the semigroup)
@@ -282,7 +301,12 @@ def main(argv: list[str] | None = None) -> int:
     print(f"observed: E(S, c - 1) = rho_(c-1) on {points - len(below_c)} of {points}")
     for gens, r, e, rho in below_c:
         print(f"  miss {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
-    return 1 if decomposed or closed or generic or genus or divs else 0
+    t0 = time.perf_counter()
+    points, bound = sweep_rho_bound()
+    report(f"E(S, r) <= rho_r, equal from r = c + 1, on <{RHO_BOUND_GENS[0]}, "
+           f"{RHO_BOUND_GENS[1]}> at every r <= c + 2", points, bound,
+           time.perf_counter() - t0)
+    return 1 if decomposed or closed or generic or genus or divs or bound else 0
 
 
 if __name__ == "__main__":

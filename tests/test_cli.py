@@ -201,7 +201,7 @@ def test_semigroup_arguments_refused(capsys):
 def test_element_bound_refused_before_allocating(capsys):
     # above the element guard, divisors and brute force exit 2 before any
     # digit string or mask sized by x or m exists; the generic search
-    # counts in a frame of c + rho_r bits and answers at any base
+    # counts in windows of c bits and answers at any base
     over = str(semigroup._MAX_ELEMENT + 1)
     gens = ["--gens", "5,6,7,9", "--r", "2", "--no-timing"]
     _, at_base = run_cli(capsys, "distance", *gens, "--method", "generic")

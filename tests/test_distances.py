@@ -49,13 +49,17 @@ def test_argument_validation():
     with pytest.raises(InvalidInput):
         feng_rao_distance(s, 23, 0)
     assert feng_rao_distances(s, 23, range(3, 3)) == []
+    for sizes in (range(1, 5, 2), [1, 2]):
+        with pytest.raises(InvalidInput, match="sizes must be an int or a step-1 range"):
+            feng_rao_distances(s, 23, sizes)
     with pytest.raises(InvalidInput, match=r"base 13 is below max\(2c-1, 0\) = 23"):
         brute_force_distance(s, 13, 2)
 
 
 def test_generic_search_counts_in_one_frame(monkeypatch):
     # the search builds no divisor mask window, and one mask builder call at
-    # top = c - 1 gives the frame it counts in, whatever m is
+    # top = c - 1 gives R, which each c-bit window it counts in ORs, whatever
+    # m and the set's top are
     def refused(*args):
         raise AssertionError("the generic search built a divisor mask window")
 
@@ -75,8 +79,8 @@ def test_generic_search_counts_in_one_frame(monkeypatch):
     results = feng_rao_distances(small, m, range(1, 4))
     assert tops == [small.conductor - 1]
 
-    # a frame of c + rho_r bits: on <1000, 1001> a window from m would hold
-    # D(m) and each candidate's mask, 2 million bits each
+    # windows of c bits: on <1000, 1001> a divisor mask window from m would
+    # hold D(m) and each candidate's mask, 2 million bits each
     s = from_generators([1000, 1001])
     tops.clear()
     tracemalloc.start()

@@ -446,6 +446,23 @@ def test_pivot_removal_preserves_orderedness():
             assert is_ordered_amenable(a, b, Configuration(base=m, elements=rest))
 
 
+def test_is_ordered_amenable_refusals():
+    # one set per refusal on <4, 5>: ground [m, m + 4], rho_2 = 4
+    s = interval_semigroup(4, 1)
+    m = base_for(4, 1)
+    not_amenable = (m, m + 8)  # m + 8 - 4 is missing
+    assert not is_amenable(s, Configuration(base=m, elements=not_amenable))
+    assert not is_ordered_amenable(4, 1, Configuration(base=m, elements=not_amenable))
+    for elements in [
+        (m, m + 2),  # the shadow is not an interval
+        tuple(range(m, m + 5)),  # the shadow fills the ground
+        (m, m + 1, m + 2),  # pivot m + 2, yet m + 5 can be added, not only m + 6
+    ]:
+        config = Configuration(base=m, elements=elements)
+        assert is_amenable(s, config), elements
+        assert not is_ordered_amenable(4, 1, config), elements
+
+
 def test_ordered_shadows_coincide():
     # sets of equal size from the two constructions share their shadow
     for a, b in PAIRS:
