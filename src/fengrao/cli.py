@@ -10,24 +10,24 @@ divisors and amenable also render a planified grid, a line per write
 that cannot be opened or written, and a grid --amax or --rmax above the
 guards), 3 cross-check disagreement, 4 search-space cap hit.
 
-Each ``main`` call builds only the parser of the command that argv names
-first, from the same table of commands as ``build_parser``'s whole tree,
-and prints what that tree prints.  The tree is built only for help, an
-unknown command or an argument the command does not take, whose errors
-carry the top-level usage.  No parser is kept between calls: a cache
-would help only callers that make many requests in one process, while a
-shell user pays the build on every run.
+Each command's options are declared once, by its filler in the table of
+commands.  A ``main`` call reads a well-formed request (exact ``--name
+value`` pairs and flags) by what that filler declares, with no argparse
+parser; anything else goes to ``build_parser``'s whole tree, the only
+source of help, usage and error text and the only importer of argparse.
+Nothing is kept between calls: a cache would help only callers that make
+many requests in one process, while a shell user pays on every run.
 """
 
 from __future__ import annotations
 
-import argparse
 import os
 import sys
 import time
 from contextlib import contextmanager
 from itertools import chain, islice
-from typing import Iterable, Iterator, Sequence, TextIO
+from types import SimpleNamespace
+from typing import TYPE_CHECKING, Iterable, Iterator, Sequence, TextIO
 
 from .amenable import (
     _size_range,
@@ -46,6 +46,9 @@ from .interval import (
     rho_equality_predicted,
 )
 from .semigroup import _MAX_MULTIPLICITY, NumericalSemigroup, from_generators
+
+if TYPE_CHECKING:
+    import argparse
 
 EXIT_OK = 0
 EXIT_INPUT = 2
@@ -409,6 +412,8 @@ _COMMANDS = {
 
 def build_parser() -> argparse.ArgumentParser:
     """The whole command tree: the top-level parser and one subparser per command."""
+    import argparse
+
     parser = argparse.ArgumentParser(
         prog="fengrao",
         description="Divisor sets and Feng-Rao numbers of numerical semigroups",
@@ -419,20 +424,82 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _parse_args(argv: Sequence[str]) -> argparse.Namespace:
-    """Parse argv with the parser of the command it names first, built alone.
+class _Recorder:
+    """Takes a filler's calls in place of an argparse parser; ``read`` parses by them."""
 
-    The whole tree passes everything after the command name, unchanged, to
-    a subparser named "fengrao <command>", so this parser prints the same
-    help and errors.  Arguments it leaves over, the whole tree reports under
-    the top-level usage; then, and when argv names no command, the whole
-    tree parses argv.
+    def __init__(self) -> None:
+        self.options: dict[str, dict] = {}  # "--name" -> its add_argument keywords
+        self.groups: list[set[str]] = []  # the names of each exclusive group
+        self.defaults: dict = {}
+
+    def add_argument(self, flag: str, **spec) -> None:
+        if spec.get("action") == "store_true":
+            spec.setdefault("default", False)
+        self.options[flag] = spec
+
+    def add_mutually_exclusive_group(self) -> SimpleNamespace:
+        group: set[str] = set()
+        self.groups.append(group)
+
+        def add_argument(flag: str, **spec) -> None:
+            group.add(flag)
+            self.add_argument(flag, **spec)
+
+        return SimpleNamespace(add_argument=add_argument)
+
+    def set_defaults(self, **defaults) -> None:
+        self.defaults.update(defaults)
+
+    def read(self, tokens: Sequence[str]) -> SimpleNamespace | None:
+        """What argparse would parse from tokens, or None to leave them to it.
+
+        Exact option names only, each once, with every required one and at
+        most one of each exclusive group; a value must be there, must not
+        start with "-", and must convert and lie in its choices.
+        """
+        given: dict = {}
+        tokens = iter(tokens)
+        for flag in tokens:
+            spec = self.options.get(flag)
+            if spec is None or flag in given:
+                return None
+            if spec.get("action") == "store_true":
+                given[flag] = True
+                continue
+            text = next(tokens, "-")  # a missing value is refused as a "-" one
+            if text.startswith("-"):
+                return None
+            try:
+                value = spec.get("type", str)(text)
+            except ValueError:
+                return None
+            if "choices" in spec and value not in spec["choices"]:
+                return None
+            given[flag] = value
+        required = {flag for flag, spec in self.options.items() if spec.get("required")}
+        if required - given.keys() or any(len(group & given.keys()) > 1 for group in self.groups):
+            return None
+        values = {
+            flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
+            for flag, spec in self.options.items()
+        }
+        return SimpleNamespace(**values, **self.defaults)
+
+
+def _parse_args(argv: Sequence[str]) -> SimpleNamespace | argparse.Namespace:
+    """Read a well-formed request without argparse, else parse argv with the whole tree.
+
+    The named command's filler declares its options to a ``_Recorder``,
+    which reads the rest of argv into the namespace argparse would give.
+    When it cannot (help, an unknown command, any form it does not read,
+    or input argparse refuses), the whole tree parses argv, so every
+    help text, usage line, error and exit code is argparse's.
     """
     if argv and argv[0] in _COMMANDS:
-        parser = argparse.ArgumentParser(prog=f"fengrao {argv[0]}")
-        _COMMANDS[argv[0]][1](parser)
-        args, rest = parser.parse_known_args(argv[1:])
-        if not rest:
+        recorder = _Recorder()
+        _COMMANDS[argv[0]][1](recorder)
+        args = recorder.read(argv[1:])
+        if args is not None:
             return args
     return build_parser().parse_args(argv)
 

@@ -1,3 +1,6 @@
+import argparse
+import contextlib
+import importlib.util
 import io
 import json
 import os
@@ -853,37 +856,160 @@ PARSE_CASES = [
     ["distance", "--gens", "4,5", "--r=2", "--m", "23", "--no-timing"],
     ["grid", "--amax", "4", "--bmax", "2", "--rmax", "3", "--format", "ascii"],
     ["amenable", "--gens", "4,5", "--r", "2", "--repr"],
+    # read without argparse
+    ["divisors", "--x", " 9", "--gens", "4,5", "--format", "json"],
+    ["divisors", "--gens", "", "--x", "9"],
+    ["number", "--gens", "4,5", "--r", "1..2", "--m", "+23", "--max-brute", "1_000",
+     "--method", "all", "--no-timing"],
+    ["distance", "--interval", "5,2", "--r", "3", "--m", "0", "--format", "ascii"],
+    ["grid", "--rmax", "2", "--bmax", "1", "--amax", "3", "--format", "json"],
+    ["amenable", "--interval", "4,1", "--r", "2", "--representatives", "--out", ""],
 ]
 
 
 @pytest.mark.parametrize("argv", PARSE_CASES, ids=lambda argv: " ".join(argv) or "no-args")
 def test_command_parser_prints_what_the_whole_tree_prints(argv, monkeypatch, capsys):
-    # main parses with the named command's parser alone; the whole tree
+    # main reads a well-formed request without argparse; the whole tree
     # must give the same exit code, stdout and stderr, byte for byte
     alone = main_outcome(argv, capsys)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert main_outcome(argv, capsys) == alone
 
 
+def benchmark_argvs():
+    """Every distinct command line the four workloads of bench/workloads.py send."""
+    bench = Path(__file__).resolve().parent.parent / "bench"
+    spec = importlib.util.spec_from_file_location("bench_workloads", bench / "workloads.py")
+    workloads = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(workloads)
+    expected = json.loads((bench / "expected.json").read_text())
+    argvs = {
+        tuple(request["argv"])
+        for workload in workloads.WORKLOADS
+        for request in workloads.build_requests(workload, 1, expected)
+        if "argv" in request
+    }
+    return sorted(map(list, argvs))
+
+
+# the golden requests in csv and json, the distance alias and an amenable
+# listing, each with its stdout
+FAST_REQUESTS = [
+    (command + ["--format", fmt], (GOLDEN / f"{name}.{fmt}").read_text())
+    for name, command in sorted(GOLDEN_COMMANDS.items())
+    for fmt in ("csv", "json")
+] + [
+    (["distance", *GOLDEN_COMMANDS["number_4_1_r1to5_all"][1:]],
+     (GOLDEN / "number_4_1_r1to5_all.csv").read_text()),
+    (["amenable", "--gens", "4,5", "--r", "2"],
+     "index,count,elements\n0,2,23 24\n1,2,23 25\n2,2,23 26\n3,2,23 27\n"),
+]
+
+
+def command_parser(name):
+    """The argparse parser of one command alone, named as the whole tree names it."""
+    parser = argparse.ArgumentParser(prog=f"fengrao {name}", exit_on_error=False)
+    cli._COMMANDS[name][1](parser)
+    return parser
+
+
+def argparse_vars(parser, tokens):
+    """vars() of what parser parses from tokens, or None where it refuses them."""
+    try:
+        with contextlib.redirect_stderr(io.StringIO()):
+            return vars(parser.parse_args(tokens))
+    except (SystemExit, argparse.ArgumentError):
+        return None
+
+
+def read_request(argv):
+    """What the command's recorder reads from argv, or None where it declines."""
+    recorder = cli._Recorder()
+    cli._COMMANDS[argv[0]][1](recorder)
+    return recorder.read(argv[1:])
+
+
+def generated_argvs(name, rng, count):
+    """Random orders and subsets of the command's options, with edge values."""
+    recorder = cli._Recorder()
+    cli._COMMANDS[name][1](recorder)
+    edges = ["", "-5", "+7", " 8", "1_0", "x"]
+    for _ in range(count):
+        flags = [
+            flag for flag, spec in recorder.options.items()
+            if rng.random() < (0.9 if spec.get("required") else 0.4)
+        ]
+        rng.shuffle(flags)
+        argv = [name]
+        for flag in flags:
+            spec = recorder.options[flag]
+            argv.append(flag)
+            if "choices" in spec:
+                argv.append(rng.choice([*spec["choices"], "fast", ""]))
+            elif spec.get("type") is int:
+                argv.append(rng.choice(["3", "12", *edges]))
+            elif spec.get("action") != "store_true":
+                argv.append(rng.choice(["4,5", "1..3", *edges]))
+        yield argv
+
+
+# a well-formed request per command, and what the reader must decline on it
+READ_BASES = {
+    "divisors": ["divisors", "--gens", "4,5", "--x", "9"],
+    "distance": ["distance", "--gens", "4,5", "--r", "2"],
+    "number": ["number", "--gens", "4,5", "--no-timing", "--r", "2"],
+    "grid": ["grid", "--amax", "4", "--bmax", "2", "--rmax", "3"],
+    "amenable": ["amenable", "--gens", "4,5", "--r", "2"],
+}
+DECLINED_FORMS = [
+    lambda base: base + base[1:3],  # a repeated option
+    lambda base: base + ["--interval", "4,1"],
+    lambda base: base[:-2],  # the required option given last is missing
+    lambda base: base + ["--r=2"],
+    lambda base: base + ["--repr"],
+    lambda base: base + ["-h"],
+    lambda base: base + ["--"],
+    lambda base: base + ["--foo"],
+    lambda base: base + ["--out"],
+    lambda base: base + ["stray"],
+]
+
+
+def test_reader_gives_what_argparse_parses():
+    # argparse is the reference: whatever the reader accepts, the command's
+    # own parser must parse to the same values, and the forms it leaves to
+    # argparse must be declined
+    rng = random.Random(26)
+    accepted = 0
+    for name in cli._COMMANDS:
+        parser = command_parser(name)
+        for argv in generated_argvs(name, rng, 2000):
+            args = read_request(argv)
+            if args is not None:
+                accepted += 1
+                assert vars(args) == argparse_vars(parser, argv[1:]), argv
+        for form in DECLINED_FORMS:
+            argv = form(READ_BASES[name])
+            assert read_request(argv) is None, argv
+        assert vars(read_request(READ_BASES[name])) == argparse_vars(parser, READ_BASES[name][1:])
+    assert accepted >= 2000, accepted
+    # the fast path serves the goldens and every benchmark request
+    for argv in [argv for argv, _ in FAST_REQUESTS] + benchmark_argvs():
+        args = read_request(argv)
+        assert args is not None, argv
+        assert vars(args) == argparse_vars(command_parser(argv[0]), argv[1:]), argv
+
+
 def test_valid_requests_do_not_build_the_whole_tree(monkeypatch, capsys):
-    number = GOLDEN_COMMANDS["number_4_1_r1to5_all"]
-    requests = [
-        (number, GOLDEN / "number_4_1_r1to5_all.csv"),
-        (["distance", *number[1:]], GOLDEN / "number_4_1_r1to5_all.csv"),
-        (GOLDEN_COMMANDS["divisors_9_13_15_x60"], GOLDEN / "divisors_9_13_15_x60.csv"),
-        (GOLDEN_COMMANDS["grid_a6_b3_r8"], GOLDEN / "grid_a6_b3_r8.csv"),
-    ]
+    def no_parser(*args, **kwargs):
+        raise AssertionError("argparse parser built")
 
-    def whole_tree():
-        raise AssertionError("build_parser called")
-
-    monkeypatch.setattr(cli, "build_parser", whole_tree)
-    for argv, golden in requests:
-        assert main_outcome(argv, capsys) == (0, golden.read_text(), ""), argv
-    amenable = ["amenable", "--gens", "4,5", "--r", "2"]
-    listing = "index,count,elements\n0,2,23 24\n1,2,23 25\n2,2,23 26\n3,2,23 27\n"
-    assert main_outcome(amenable, capsys) == (0, listing, "")
-    # help, an unknown command and an unrecognized argument go to the whole tree
+    monkeypatch.setattr(argparse, "ArgumentParser", no_parser)
+    for argv, out in FAST_REQUESTS:
+        assert main_outcome(argv, capsys) == (0, out, ""), argv
+    for argv in benchmark_argvs():
+        assert cli._parse_args(argv).run in (cli._cmd_distance_like, cli._cmd_grid), argv
+    # help, an unknown command and an unrecognized argument go to argparse
     for argv in (["-h"], ["bogus"], ["divisors", "--gens", "4,5", "--x", "9", "--foo"]):
-        with pytest.raises(AssertionError, match="build_parser called"):
+        with pytest.raises(AssertionError, match="argparse parser built"):
             cli.main(argv)

@@ -73,8 +73,9 @@ def test_every_public_name_and_member_has_a_docstring():
 
 def test_cli_import_loads_no_introspection_module():
     # every fengrao command pays this import; dataclasses alone would pull in
-    # inspect, ast, dis and tokenize, more than half of it, and json, which
-    # only --format json needs, would be a third of it
+    # inspect, ast, dis and tokenize, more than half of it, json, which only
+    # --format json needs, would be a third of it, and argparse, which only
+    # help and errors need, would bring gettext
     src = str(Path(fengrao.__file__).parent.parent)
     probe = (
         "import sys\n"
@@ -88,4 +89,35 @@ def test_cli_import_loads_no_introspection_module():
     )
     added = set(run.stdout.split())
     assert "fengrao.cli" in added
-    assert added.isdisjoint({"dataclasses", "inspect", "ast", "dis", "tokenize", "json"})
+    forbidden = {"dataclasses", "inspect", "ast", "dis", "tokenize", "json", "argparse", "gettext"}
+    assert added.isdisjoint(forbidden)
+
+
+def test_valid_commands_do_not_load_argparse():
+    # a valid request is read without argparse, whose import pulls in gettext
+    # and locale; help is argparse's, so it loads it
+    src = str(Path(fengrao.__file__).parent.parent)
+    probe = (
+        "import contextlib, io, sys\n"
+        f"sys.path.insert(0, {src!r})\n"
+        "import fengrao.cli\n"
+        "def loaded(argv):\n"
+        "    with contextlib.redirect_stdout(io.StringIO()):\n"
+        "        try:\n"
+        "            assert fengrao.cli.main(argv) == 0\n"
+        "        except SystemExit as exc:\n"
+        "            assert exc.code == 0\n"
+        "    return ','.join(m for m in ('argparse', 'gettext', 'locale') if m in sys.modules)\n"
+        "for fmt in ('csv', 'json'):\n"
+        "    print(loaded(['number', '--interval', '4,1', '--r', '1..5', '--format', fmt]))\n"
+        "    print(loaded(['grid', '--amax', '6', '--bmax', '3', '--rmax', '8',\n"
+        "                  '--format', fmt]))\n"
+        "    print(loaded(['divisors', '--gens', '9,13,15', '--x', '60', '--format', fmt]))\n"
+        "print(loaded(['number', '-h']))\n"
+    )
+    run = subprocess.run(
+        [sys.executable, "-I", "-c", probe], capture_output=True, text=True, check=True
+    )
+    *valid, helped = run.stdout.split("\n")[:-1]
+    assert valid == [""] * 6
+    assert "argparse" in helped.split(",")

@@ -14,6 +14,7 @@ from fengrao import (
     InvalidInput,
     NumericalSemigroup,
     divisors,
+    enumerate_amenable,
     feng_rao_number,
     from_generators,
     h_decompose,
@@ -194,3 +195,11 @@ def test_interval_records_take_keywords():
     assert HDecomposition(h=2, k=1, j=1) == h_decompose(7, 2)
     wp = WagonPivot(wagon=(26, 31), pivot=31)
     assert wp == wagon_pivot(5, 2, Configuration(base=23, elements=(23, 26, 31)))
+
+
+def test_configuration_iterates_its_elements():
+    s = from_generators([4, 5])
+    configs = [Configuration(base=5, elements=()), *enumerate_amenable(s, 23, 3)]
+    for config in configs:
+        assert list(config) == list(config.elements)
+        assert len(config) == len(config.elements)
