@@ -18,12 +18,10 @@ the sets of size r, which it yields in lexicographic order, with
 ``Configuration._trusted``, which skips the validation the search
 already guarantees.  Sizes above ``_MAX_SIZE``, and a rho_r above
 ``_MAX_RHO``, are refused before the tables sized by them exist.
-A caller may bound the walk with an ``admit`` hook, asked about each
-candidate that passes the mask test before any tuple is built for it; a
-refused candidate is neither yielded nor extended.  The distance search
-uses it to drop every set whose divisor count cannot beat the best
-found, for its own size or through its extensions, and the ``amenable``
-command walks the whole tree.
+A ``hook`` makes the walker count each candidate's divisors in a c-bit
+window and refuse it, with its extensions, once its count less its size
+reaches the limit the hook returns on each set admitted; the distance
+search keeps each size's best there.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
@@ -35,17 +33,19 @@ each depth's scan after its first admitted candidate above the ground.
 
 from __future__ import annotations
 
+from math import inf
 from typing import Callable, Iterator
 
+from .divisors import _element_masks
 from .errors import InvalidInput
 from .semigroup import NumericalSemigroup, _Record
 
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> took 0.04-0.07 s for r 1..60, 0.74-1.0 s for r 1..200 and
-# 0.70-1.01 s for r 1..1000 on a 2-vCPU Xeon VM.  The bound refuses absurd
-# sizes before the per-depth lists are allocated.
+# <16, 17> took 0.04-0.05 s for r 1..60, 0.60-1.02 s for r 1..200 and
+# 0.59-0.99 s for r 1..1000 (ten runs each, 2-vCPU Xeon VM).  The bound
+# refuses absurd sizes before the per-depth lists are allocated.
 _MAX_SIZE = 10_000
 # Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
 # rho_r bits, about rho_r^2 / 16 bytes: 64 MB at most here, in line with
@@ -159,7 +159,7 @@ def enumerate_amenable(
     m: int,
     r: int,
     *,
-    admit: Callable[[int, int], bool] | None = None,
+    hook: Callable[[int, int, int], float] | None = None,
     one_per_shadow: bool = False,
 ) -> Iterator[Configuration]:
     """All (S, m, r)-amenable sets, in lexicographic element order.
@@ -168,14 +168,22 @@ def enumerate_amenable(
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
 
-    ``admit``, when given, is asked ``admit(k, x)`` once for each
-    candidate set that passes the mask test, of every size k up to r,
-    where x is its largest element, before the set is built, yielded or
-    extended; when it returns false, the set is dropped with all its
-    extensions.  The candidates come in pre-order, a prefix before its
-    extensions, and one is asked about only while its (k-1)-element
-    prefix is the last set of that size admitted, so the hook can keep
-    per-size state that describes the prefix.
+    With a ``hook``, the walker counts each candidate that passes the
+    mask test.  A set M with top T has #D(M) = (m - c + 1 - g) + (T - m)
+    + popcount(V), V its window: bit i is set when T - c + 1 + i divides
+    an element of M.  Elements up to m - c divide every x >= m, the
+    integers in (m - c, T - c] are in S and divide T, and y > T - c
+    divides x <= T only as x - s with s < c.  So a child at offset
+    t > top, its prefix's top offset, has V' = (V >> (t - top)) | R, R
+    with bit c - 1 - s for each element s < c, and count =
+    t + popcount(V'), #D less the m - c + 1 - g divisors every set
+    shares: one shift, one OR and one bit count in c bits, whatever m
+    and T are.  The empty prefix has V = 0 and top 0.  A k-set with
+    count - k >= limit is refused, with its extensions, and nothing is
+    called; each set admitted is passed as ``hook(k, x, count)``, x its
+    largest element, in pre-order and before it is built, yielded or
+    extended, and the hook returns the new limit.  The limit starts at
+    infinity and must never rise.
 
     With ``one_per_shadow``, a depth's scan stops after its first
     admitted offset t >= n_e, so only the first set of each shadow and
@@ -184,10 +192,9 @@ def enumerate_amenable(
     Q' under P + t' and add t: the result Q is amenable (the divisors of
     t in range are in P), has the size and shadow of Q', so its divisor
     count, sits under P + t, and meets the walker's bounds, as each
-    element and gap of Q is at most one of Q' or P + t'.  A hook that
-    answers from the size and count against a bound that only falls, as
-    the distance search's does, refuses Q's prefixes whenever it would
-    refuse those of Q'.
+    element and gap of Q is at most one of Q' or P + t'.  Each prefix of
+    Q has the count of the prefix of Q' of its size and is met first,
+    under a limit no lower, so Q is refused only where Q' would be.
     """
     check_base(sgp, m)
     _one_size(r)
@@ -217,18 +224,34 @@ def enumerate_amenable(
     nexts = [0] * r
     bounds = [0] * r
     depth = 0
+    # with a hook, slot d also keeps its prefix's window V and top offset;
+    # with none, the scan is the bare mask test and nothing is read for it
+    rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R
+    windows = [0] * (r + 1)
+    tops = [0] * (r + 1)
+    limit: float = inf
     while depth >= 0:
         mask = masks[depth]
         bound = bounds[depth]
         t = nexts[depth]
+        if hook is not None:
+            window, top, cut = windows[depth], tops[depth], limit + depth + 1
         while t <= bound:
             req = need[t]
-            if mask & req == req and (admit is None or admit(depth + 1, m + t)):
-                break
+            if mask & req == req:
+                if hook is None:
+                    break
+                grown = (window >> (t - top)) | rev
+                count = t + grown.bit_count()
+                if count < cut:  # count - k < limit, k = depth + 1
+                    break
             t += 1
         else:
             depth -= 1
             continue
+        if hook is not None:
+            limit = hook(depth + 1, m + t, count)
+            windows[depth + 1], tops[depth + 1] = grown, t
         nexts[depth] = t + 1 if t < stop else bound + 1
         elems[depth] = m + t
         if depth < last:
@@ -246,15 +269,14 @@ def shadow_representatives(
     m: int,
     r: int,
     *,
-    admit: Callable[[int, int], bool] | None = None,
+    hook: Callable[[int, int, int], float] | None = None,
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
     enumerate_amenable with ``one_per_shadow``: the walker draws these
-    sets itself and drops none.  An ``admit`` hook is asked only about the
-    candidates the walker still scans; the distance search's hook answers
-    from the divisor count, which one shadow and size share, against a
-    bound that only falls, so each set it draws is still the first of
-    its group.
+    sets itself and drops none.  A ``hook`` hears only the sets the
+    walker still scans and admits; the limit it returns only falls, and
+    sets of one shadow and size share one count, so each set the walker
+    draws is still the first of its group.
     """
-    yield from enumerate_amenable(sgp, m, r, admit=admit, one_per_shadow=True)
+    yield from enumerate_amenable(sgp, m, r, hook=hook, one_per_shadow=True)

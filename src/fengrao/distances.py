@@ -6,17 +6,14 @@ an r-element configuration starting at or above m: an OR of the
 an optimal configuration can be chosen amenable, the count only depends
 on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
-For such m a set M with top T has #D(M) = (m - c + 1 - g) + (T - m) +
-popcount(V), V its divisors among the c integers ending at T: elements up
-to m - c divide every x >= m, the integers in (m - c, T - c] are in S and
-divide T, and y > T - c divides x <= T only as x - s with s < c.  So
-x' > T gives V' = (V >> (x' - T)) | R, R with bit c - 1 - s for each
-element s < c, and the search counts in c bits whatever m and T are.  It
-refuses each amenable set, with its extensions, before building it, once
-its count less its size reaches best[max r] - max r: one number bounds
-every size, as best[r] - r never falls as r grows.  A no-theory
-branch-and-bound search over all r-subsets, pruned by full divisor mask
-counts alone, is the independent oracle, of the window identity too.
+The search is a branch and bound on the walk of one amenable set per
+shadow and size: the walker counts each set in a c-bit window that ends
+at its top, whatever m is, and refuses it, with its extensions, before
+building it, once its count less its size reaches best[max r] - max r,
+the limit the search's hook returns: one number bounds every size, as
+best[r] - r never falls as r grows.  A no-theory branch-and-bound
+search over all r-subsets, pruned by full divisor mask counts alone, is
+the independent oracle, of the window identity too.
 """
 
 from __future__ import annotations
@@ -31,7 +28,7 @@ from .amenable import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .divisors import _divisor_masks, _element_masks
+from .divisors import _divisor_masks
 from .errors import InvalidInput, SearchSpaceTooLarge
 from .semigroup import NumericalSemigroup, _Record
 
@@ -69,62 +66,52 @@ def feng_rao_distances(
 ) -> list[FengRaoResult]:
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
-    The search walks the amenable sets up to size max(rs), one per shadow
-    and size, in pre-order, and does all its work in the walker's
-    ``admit`` hook.  Bit i of a set's window V stands for T - c + 1 + i,
-    T its top, and #D = (m - c + 1 - g) + (T - m) + popcount(V).  A child
-    at x' > T shifts out of V only integers up to x' - c, which are in S,
-    divide x' and are counted in x' - m: V' = (V >> (x' - T)) | R.  So a
-    set costs one shift, one OR and one bit count, and the m - c + 1 - g
-    divisors every set shares are added once, to the results.
+    The walker draws the amenable sets up to size max(rs), one per shadow
+    and size, in pre-order, and counts each k-set's divisors n, less the
+    m - c + 1 - g every set shares (see ``enumerate_amenable``).  The
+    search's hook hears each set it admits, keeps a set below the best of
+    its size as that size's best, and returns the limit best[hi] - hi,
+    hi = max(rs): the walker refuses a set, with its extensions, when
+    n - k reaches it.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size j
-    under P has at least #D(P) + (j - k) divisors.  With hi = max(rs),
-    the hook refuses a k-set of count n, with its extensions, when
-    n - k >= best[hi] - hi, and a set it admits below the best of its
-    size becomes that size's best.  One number is enough, as best[j] - j
-    never falls as j grows over lo..hi: best[j+1] only takes the count
-    of an admitted (j+1)-set Q, whose j-prefix P was admitted before and
-    compared with best[j], so best[j] <= #D(P) <= #D(Q) - 1 (Q's largest
-    element divides itself and no smaller element), and best[j] only
-    falls afterwards.  So neither a refused set nor its extensions can
-    beat best[j] at any requested j >= k.  Sets of one shadow and size
-    share one count and the bound only falls, so the one set per shadow
-    and size that the walker draws is the first of its group in
-    lexicographic order, and a set it skips could not win: it has the
-    count of a set the walker reaches earlier.  Only a strictly smaller
-    count replaces the best, so each size keeps its first minimum in
-    lexicographic order, the witness the unbounded search gives.
+    under P has at least #D(P) + (j - k) divisors.  One number is
+    enough, as best[j] - j never falls as j grows over lo..hi:
+    best[j+1] only takes the count of an admitted (j+1)-set Q, whose
+    j-prefix P was admitted before and compared with best[j], so
+    best[j] <= #D(P) <= #D(Q) - 1 (Q's largest element divides itself
+    and no smaller element), and best[j] only falls afterwards.  So
+    neither a refused set nor its extensions can beat best[j] at any
+    requested j >= k, and the limit only falls.  Sets of one shadow and
+    size share one count, so the one set per shadow and size that the
+    walker draws is the first of its group in lexicographic order, and a
+    set it skips could not win: it has the count of a set the walker
+    reaches earlier.  Only a strictly smaller count replaces the best,
+    so each size keeps its first minimum in lexicographic order, the
+    witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:
         return []
     lo, hi = sizes.start, sizes[-1]
-    rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R of the docstring
 
-    # size k: the top and the window of the last k-element set admitted
-    # (size 0: m and 0).  The walker asks admit about a k-element set only
-    # while its (k-1)-prefix is the last one admitted, so elems[1..k] is it.
-    elems = [m] + [0] * hi
-    windows = [0] * (hi + 1)
+    # elems[k]: the top of the last k-set heard; sets come in pre-order,
+    # so elems[1..k] is the set being heard
+    elems = [0] * (hi + 1)
     # size -> least count so far and its set; -inf for the sizes below lo,
     # which no set of theirs can improve
     best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
     witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
 
-    def admit(k: int, x: int) -> bool:
-        window = (windows[k - 1] >> (x - elems[k - 1])) | rev
-        count = x - m + window.bit_count()
-        if count - k >= best[hi] - hi:
-            return False
-        windows[k], elems[k] = window, x
+    def record(k: int, x: int, count: int) -> float:
+        elems[k] = x
         if count < best[k]:
             best[k] = count
             witnesses[k] = tuple(elems[1 : k + 1])
-        return True
+        return best[hi] - hi
 
-    for _ in shadow_representatives(sgp, m, hi, admit=admit):
+    for _ in shadow_representatives(sgp, m, hi, hook=record):
         pass
     shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
     return [

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 from itertools import combinations
+from math import inf
 
 import pytest
 
@@ -174,78 +175,85 @@ def test_enumerate_matches_exhaustive_definition():
             assert list(shadow_representatives(s, m, r)) == first, (gens, r)
 
 
-class PathHook:
-    """An admit hook that rebuilds each candidate from the per-size state.
+class Recorder:
+    """A hook that rebuilds each set it hears from the per-size state.
 
-    It keeps the last admitted set of each size, as a hook answering from
-    per-size state must, and records every question.  ``refuse`` names
-    the candidates it turns down.
+    Sets come in pre-order, so the last set heard at size k - 1 is the
+    prefix of the one heard at size k.  It records every (set, count) and
+    answers with the fixed ``limit``.
     """
 
-    def __init__(self, refuse=()):
-        self.refuse = set(refuse)
-        self.asked = []
+    def __init__(self, limit=inf):
+        self.limit = limit
+        self.heard = []
         self.last = {0: ()}
 
-    def __call__(self, k, x):
-        self.asked.append((k, x))
-        candidate = self.last[k - 1] + (x,)
-        if candidate in self.refuse:
-            return False
-        self.last[k] = candidate
-        return True
+    def __call__(self, k, x, count):
+        self.last[k] = self.last[k - 1] + (x,)
+        self.heard.append((self.last[k], count))
+        return self.limit
 
 
 def pre_order(sgp, m, r):
     """Every amenable set of size 1..r, a prefix before its extensions.
 
     Tuple order puts a prefix before its extensions, so this is the
-    order in which the walker to depth r asks about them.
+    order in which the walker to depth r meets them.
     """
     return sorted(c.elements for k in range(1, r + 1) for c in enumerate_amenable(sgp, m, k))
 
 
-def test_always_true_hook_gives_the_unhooked_stream():
+def window_count(sgp, elements):
+    """The walker's count from an independent divisor union: #D less the
+    m - c + 1 - g divisors every set at base m shares."""
+    m = elements[0]
+    return nu(sgp, elements) - (m - sgp.conductor + 1 - sgp.genus)
+
+
+def test_infinite_limit_gives_the_unhooked_stream():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
         for r in range(rmax + 1):
             for source in (enumerate_amenable, shadow_representatives):
-                hooked = list(source(s, m, r, admit=lambda k, x: True))
+                hooked = list(source(s, m, r, hook=lambda k, x, count: inf))
                 assert hooked == list(source(s, m, r)), (gens, r)
 
 
-def test_hook_is_asked_once_per_candidate_before_its_yield():
+def test_hook_hears_each_set_with_its_count_before_its_yield():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
+        base = smallest_asymptotic_base(s)
+        for m in (base, base + 7):
+            for r in (3, rmax):
+                hook = Recorder()
+                for config in enumerate_amenable(s, m, r, hook=hook):
+                    # the set is heard right before it is yielded
+                    assert hook.heard[-1][0] == config.elements
+                # every amenable set of size 1..r, in pre-order, with the
+                # count of its divisor union
+                assert hook.heard == [
+                    (e, window_count(s, e)) for e in pre_order(s, m, r)
+                ], (gens, m, r)
+
+
+def test_finite_limit_refuses_sets_and_their_extensions():
+    for gens in [(3, 4), (5, 6, 7), (4, 7, 9), (6, 7, 8, 9)]:
+        s = from_generators(gens)
         m = smallest_asymptotic_base(s)
-        for r in (3, rmax):
-            hook = PathHook()
-            for config in enumerate_amenable(s, m, r, admit=hook):
-                # the set is yielded right after it is admitted, and the
-                # per-size state describes it
-                elements = config.elements
-                assert hook.asked[-1] == (r, elements[-1])
-                assert hook.last[r] == elements
-            # every amenable set of size 1..r is a candidate, in pre-order
-            assert hook.asked == [(len(e), e[-1]) for e in pre_order(s, m, r)], (gens, r)
-
-
-def test_refused_candidate_drops_its_extensions():
-    s = from_generators([5, 6, 7])
-    m = smallest_asymptotic_base(s)
-    every = pre_order(s, m, 5)
-    for refused in [e for e in every if len(e) in (2, 3)]:
-        hook = PathHook(refuse=[refused])
-        got = [c.elements for c in enumerate_amenable(s, m, 5, admit=hook)]
-        assert got == [
-            e for e in every if len(e) == 5 and e[: len(refused)] != refused
-        ], refused
-        # it is asked about, and none of its extensions is
-        k = len(refused)
-        assert hook.asked == [
-            (len(e), e[-1]) for e in every if len(e) == k or e[:k] != refused
-        ], refused
+        every = pre_order(s, m, 5)
+        slack = {e: window_count(s, e) - len(e) for e in every}
+        for limit in range(min(slack.values()) - 1, max(slack.values()) + 2):
+            # a set passes when it and each of its prefixes count below the
+            # limit; {m} comes first, while the limit is still infinite
+            passing = [
+                e for e in every
+                if all(slack[e[:k]] < limit for k in range(2, len(e) + 1))
+            ]
+            hook = Recorder(limit)
+            got = [c.elements for c in enumerate_amenable(s, m, 5, hook=hook)]
+            assert [e for e, _ in hook.heard] == passing, (gens, limit)
+            assert got == [e for e in passing if len(e) == 5], (gens, limit)
 
 
 def test_size_bound_refuses_before_allocating(monkeypatch):
