@@ -10,11 +10,12 @@ divisors and amenable also render a planified grid, a line per write
 that cannot be opened or written, and a grid --amax or --rmax above the
 guards), 3 cross-check disagreement, 4 search-space cap hit.
 
-Each command's options are declared once, by its filler in the table of
-commands.  A ``main`` call reads a well-formed request (exact ``--name
-value`` pairs and flags) by what that filler declares, with no argparse
-parser; anything else goes to ``build_parser``'s whole tree, the only
-source of help, usage and error text and the only importer of argparse.
+Each command's options are declared once, as add_argument keywords in
+``_COMMANDS``.  A ``main`` call reads a well-formed request (exact
+``--name value`` pairs and flags) from that table, with no argparse
+parser; anything else goes to ``build_parser``'s whole tree, built from
+it too, the only source of help, usage and error text and the only
+importer of argparse.
 Nothing is kept between calls: a cache would help only callers that make
 many requests in one process, while a shell user pays on every run.
 """
@@ -86,12 +87,12 @@ def _parse_r_range(text: str) -> range:
 
 
 def _semigroup_from_args(args: argparse.Namespace) -> NumericalSemigroup:
-    if getattr(args, "interval", None):
+    if args.interval:
         pair = _parse_ints(args.interval, "--interval")
         if len(pair) != 2:
             raise InvalidInput("--interval needs exactly two integers a,b")
         return interval_semigroup(*pair)
-    if getattr(args, "gens", None):
+    if args.gens:
         return from_generators(_parse_ints(args.gens, "--gens"))
     raise InvalidInput("one of --gens or --interval is required")
 
@@ -344,69 +345,60 @@ def _cmd_amenable(args: argparse.Namespace) -> int:
 # ---------------------------------------------------------------- parser
 
 
-def _add_common(p: argparse.ArgumentParser) -> None:
-    source = p.add_mutually_exclusive_group()
-    source.add_argument("--gens", help="comma-separated generators, e.g. 9,13,15")
-    source.add_argument("--interval", help="interval generators a,b for <a..a+b>")
-    p.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
-    p.add_argument("--out", help="write output to this file instead of stdout")
+_REQUIRED_INT = {"type": int, "required": True}
+_SOURCE = {  # the one exclusive pair: build_parser groups it, _read refuses both
+    "--gens": {"help": "comma-separated generators, e.g. 9,13,15"},
+    "--interval": {"help": "interval generators a,b for <a..a+b>"},
+}
+_OUTPUT = {
+    "--format": {"choices": ["csv", "json", "ascii"], "default": "csv"},
+    "--out": {"help": "write output to this file instead of stdout"},
+}
+_DISTANCE = {
+    **_SOURCE,
+    **_OUTPUT,
+    "--r": {"required": True, "help": "configuration size N or range lo..hi"},
+    "--method": {"choices": ["auto", "generic", "interval", "brute", "all"], "default": "auto"},
+    "--m": {"type": int, "help": "base (default 2c-1)"},
+    "--max-brute": {
+        "type": int,
+        "default": DEFAULT_SUBSET_CAP,
+        "help": "exit 4 when brute force has more candidate subsets C(rho_r, r-1) "
+        "than this, counted before the search starts; the pruned search visits "
+        "at most that many",
+    },
+    "--no-timing": {
+        "action": "store_true",
+        "help": "report elapsed_ms as 0.000 for byte-stable output",
+    },
+}
 
-
-def _add_divisors(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--x", type=int, required=True)
-    p.set_defaults(run=_cmd_divisors)
-
-
-def _add_distance_like(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--r", required=True, help="configuration size N or range lo..hi")
-    p.add_argument(
-        "--method",
-        choices=["auto", "generic", "interval", "brute", "all"],
-        default="auto",
-    )
-    p.add_argument("--m", type=int, default=None, help="base (default 2c-1)")
-    p.add_argument(
-        "--max-brute",
-        type=int,
-        default=DEFAULT_SUBSET_CAP,
-        help="exit 4 when brute force has more candidate subsets "
-        "C(rho_r, r-1) than this, counted before the search starts; the "
-        "pruned search visits at most that many",
-    )
-    p.add_argument(
-        "--no-timing",
-        action="store_true",
-        help="report elapsed_ms as 0.000 for byte-stable output",
-    )
-    p.set_defaults(run=_cmd_distance_like)
-
-
-def _add_grid(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--amax", type=int, required=True)
-    p.add_argument("--bmax", type=int, required=True)
-    p.add_argument("--rmax", type=int, required=True)
-    p.add_argument("--format", choices=["csv", "json", "ascii"], default="csv")
-    p.add_argument("--out")
-    p.set_defaults(run=_cmd_grid)
-
-
-def _add_amenable(p: argparse.ArgumentParser) -> None:
-    _add_common(p)
-    p.add_argument("--r", required=True)
-    p.add_argument("--m", type=int, default=None)
-    p.add_argument("--representatives", action="store_true")
-    p.set_defaults(run=_cmd_amenable)
-
-
-# command name -> (its line in the top-level help, the filler of its parser)
+# command name -> (its line in the top-level help, its runner, its options:
+# "--name" -> the keywords of its add_argument call, in help order)
 _COMMANDS = {
-    "divisors": ("divisors of a semigroup element", _add_divisors),
-    "distance": ("r-th Feng-Rao distance at m", _add_distance_like),
-    "number": ("r-th Feng-Rao number E(S, r)", _add_distance_like),
-    "grid": ("E(r, <a..a+b>) over a parameter grid", _add_grid),
-    "amenable": ("list amenable sets or shadow representatives", _add_amenable),
+    "divisors": (
+        "divisors of a semigroup element",
+        _cmd_divisors,
+        {**_SOURCE, **_OUTPUT, "--x": _REQUIRED_INT},
+    ),
+    "distance": ("r-th Feng-Rao distance at m", _cmd_distance_like, _DISTANCE),
+    "number": ("r-th Feng-Rao number E(S, r)", _cmd_distance_like, _DISTANCE),
+    "grid": (
+        "E(r, <a..a+b>) over a parameter grid",
+        _cmd_grid,
+        {"--amax": _REQUIRED_INT, "--bmax": _REQUIRED_INT, "--rmax": _REQUIRED_INT, **_OUTPUT},
+    ),
+    "amenable": (
+        "list amenable sets or shadow representatives",
+        _cmd_amenable,
+        {
+            **_SOURCE,
+            **_OUTPUT,
+            "--r": {"required": True},
+            "--m": {"type": int},
+            "--representatives": {"action": "store_true"},
+        },
+    ),
 }
 
 
@@ -419,89 +411,65 @@ def build_parser() -> argparse.ArgumentParser:
         description="Divisor sets and Feng-Rao numbers of numerical semigroups",
     )
     sub = parser.add_subparsers(dest="command", required=True)
-    for name, (help_text, add_arguments) in _COMMANDS.items():
-        add_arguments(sub.add_parser(name, help=help_text))
+    for name, (help_text, run, options) in _COMMANDS.items():
+        p = sub.add_parser(name, help=help_text)
+        p.set_defaults(run=run)
+        # argparse refuses to format an empty group, so grid gets none
+        source = p.add_mutually_exclusive_group() if "--gens" in options else p
+        for flag, spec in options.items():
+            (source if flag in _SOURCE else p).add_argument(flag, **spec)
     return parser
 
 
-class _Recorder:
-    """Takes a filler's calls in place of an argparse parser; ``read`` parses by them."""
+def _read(name: str, tokens: Sequence[str]) -> SimpleNamespace | None:
+    """What argparse would parse from a command's tokens, or None to leave them to it.
 
-    def __init__(self) -> None:
-        self.options: dict[str, dict] = {}  # "--name" -> its add_argument keywords
-        self.groups: list[set[str]] = []  # the names of each exclusive group
-        self.defaults: dict = {}
-
-    def add_argument(self, flag: str, **spec) -> None:
-        if spec.get("action") == "store_true":
-            spec.setdefault("default", False)
-        self.options[flag] = spec
-
-    def add_mutually_exclusive_group(self) -> SimpleNamespace:
-        group: set[str] = set()
-        self.groups.append(group)
-
-        def add_argument(flag: str, **spec) -> None:
-            group.add(flag)
-            self.add_argument(flag, **spec)
-
-        return SimpleNamespace(add_argument=add_argument)
-
-    def set_defaults(self, **defaults) -> None:
-        self.defaults.update(defaults)
-
-    def read(self, tokens: Sequence[str]) -> SimpleNamespace | None:
-        """What argparse would parse from tokens, or None to leave them to it.
-
-        Exact option names only, each once, with every required one and at
-        most one of each exclusive group; a value must be there, must not
-        start with "-", and must convert and lie in its choices.
-        """
-        given: dict = {}
-        tokens = iter(tokens)
-        for flag in tokens:
-            spec = self.options.get(flag)
-            if spec is None or flag in given:
-                return None
-            if spec.get("action") == "store_true":
-                given[flag] = True
-                continue
-            text = next(tokens, "-")  # a missing value is refused as a "-" one
-            if text.startswith("-"):
-                return None
-            try:
-                value = spec.get("type", str)(text)
-            except ValueError:
-                return None
-            if "choices" in spec and value not in spec["choices"]:
-                return None
-            given[flag] = value
-        required = {flag for flag, spec in self.options.items() if spec.get("required")}
-        if required - given.keys() or any(len(group & given.keys()) > 1 for group in self.groups):
+    Exact option names only, each once, with every required one and not
+    both of --gens and --interval; a value must be there, must not start
+    with "-", and must convert and lie in its choices.
+    """
+    _, run, options = _COMMANDS[name]
+    given: dict = {}
+    tokens = iter(tokens)
+    for flag in tokens:
+        spec = options.get(flag)
+        if spec is None or flag in given:
             return None
-        values = {
-            flag[2:].replace("-", "_"): given.get(flag, spec.get("default"))
-            for flag, spec in self.options.items()
-        }
-        return SimpleNamespace(**values, **self.defaults)
+        if "action" in spec:  # store_true
+            given[flag] = True
+            continue
+        text = next(tokens, "-")  # a missing value is refused as a "-" one
+        if text.startswith("-"):
+            return None
+        try:
+            value = spec.get("type", str)(text)
+        except ValueError:
+            return None
+        if "choices" in spec and value not in spec["choices"]:
+            return None
+        given[flag] = value
+    if _SOURCE.keys() <= given.keys() or any(
+        spec.get("required") and flag not in given for flag, spec in options.items()
+    ):
+        return None
+    values = {}
+    for flag, spec in options.items():
+        default = spec.get("default", False if "action" in spec else None)
+        values[flag[2:].replace("-", "_")] = given.get(flag, default)
+    return SimpleNamespace(**values, run=run)
 
 
 def _parse_args(argv: Sequence[str]) -> SimpleNamespace | argparse.Namespace:
     """Read a well-formed request without argparse, else parse argv with the whole tree.
 
-    The named command's filler declares its options to a ``_Recorder``,
-    which reads the rest of argv into the namespace argparse would give.
-    When it cannot (help, an unknown command, any form it does not read,
-    or input argparse refuses), the whole tree parses argv, so every
-    help text, usage line, error and exit code is argparse's.
+    ``_read`` parses the rest of argv by the named command's entry in
+    ``_COMMANDS`` into the namespace argparse would give.  When it cannot
+    (help, an unknown command, any form it does not read, or input
+    argparse refuses), the whole tree parses argv, so every help text,
+    usage line, error and exit code is argparse's.
     """
-    if argv and argv[0] in _COMMANDS:
-        recorder = _Recorder()
-        _COMMANDS[argv[0]][1](recorder)
-        args = recorder.read(argv[1:])
-        if args is not None:
-            return args
-    return build_parser().parse_args(argv)
+    args = _read(argv[0], argv[1:]) if argv and argv[0] in _COMMANDS else None
+    return args if args is not None else build_parser().parse_args(argv)
 
 
 def main(argv: Sequence[str] | None = None) -> int:

@@ -41,8 +41,9 @@ seeded random stream, and on every semigroup of genus <= 14 with c >= 2.
 
 Part six checks the Farran-Munuera bound E(S, r) <= rho_r, with equality
 for r >= c + 1, from the generic search at every r <= c + 2 on <10, 29>
-(c = 252), past the conductors of the tier-1 checks; a violation sets the
-exit code too.
+(c = 252) and on four three-generator semigroups with c from 106 to 132,
+past the conductors of the tier-1 checks; a violation sets the exit code
+too.
 """
 
 from __future__ import annotations
@@ -85,7 +86,8 @@ OBSERVE_CMAX = 60
 OBSERVE_DRAWS = 3_000
 GENUS_BRUTE = 12  # brute force against generic on every semigroup up to this genus
 GENUS_OBSERVE = 14  # and the E(S, c) observation
-RHO_BOUND_GENS = (10, 29)  # c = 252
+# c = 252, 106, 119, 126 and 132
+RHO_BOUND_GENS = [(10, 29), (10, 23, 27), (11, 25, 29), (10, 27, 33), (9, 31, 35)]
 
 
 def sweep_decomposition() -> tuple[int, list[tuple]]:
@@ -210,15 +212,18 @@ def sweep_divisors() -> tuple[int, int, int, list[tuple]]:
 
 def sweep_rho_bound() -> tuple[int, list[tuple]]:
     """E(S, r) <= rho_r at every r <= c + 2, with equality from r = c + 1."""
-    s = from_generators(RHO_BOUND_GENS)
-    c = s.conductor
-    results = feng_rao_distances(s, smallest_asymptotic_base(s), range(1, c + 3))
-    mismatches = [
-        (res.r, res.e_number, s.rho(res.r))
-        for res in results
-        if res.e_number > s.rho(res.r) or (res.r > c and res.e_number != s.rho(res.r))
-    ]
-    return len(results), mismatches
+    points, mismatches = 0, []
+    for gens in RHO_BOUND_GENS:
+        s = from_generators(gens)
+        c = s.conductor
+        results = feng_rao_distances(s, smallest_asymptotic_base(s), range(1, c + 3))
+        points += len(results)
+        mismatches += [
+            (gens, res.r, res.e_number, s.rho(res.r))
+            for res in results
+            if res.e_number > s.rho(res.r) or (res.r > c and res.e_number != s.rho(res.r))
+        ]
+    return points, mismatches
 
 
 def observe_rho_at_conductor(amax: int) -> tuple[int, list[tuple], list[tuple]]:
@@ -303,9 +308,9 @@ def main(argv: list[str] | None = None) -> int:
         print(f"  miss {gens}: E(S, {r}) = {e}, rho_{r} = {rho}")
     t0 = time.perf_counter()
     points, bound = sweep_rho_bound()
-    report(f"E(S, r) <= rho_r, equal from r = c + 1, on <{RHO_BOUND_GENS[0]}, "
-           f"{RHO_BOUND_GENS[1]}> at every r <= c + 2", points, bound,
-           time.perf_counter() - t0)
+    on = ", ".join("<" + ",".join(map(str, gens)) + ">" for gens in RHO_BOUND_GENS)
+    report(f"E(S, r) <= rho_r, equal from r = c + 1, on {on} at every r <= c + 2",
+           points, bound, time.perf_counter() - t0)
     return 1 if decomposed or closed or generic or genus or divs or bound else 0
 
 

@@ -838,12 +838,14 @@ def main_outcome(argv, capsys):
     return (code, *capsys.readouterr())
 
 
-PARSE_CASES = [
-    [],
+HELP_ARGVS = [
     ["-h"],
+    *[[name, "-h"] for name in ("divisors", "distance", "number", "grid", "amenable")],
+]
+REFUSED_ARGVS = [
+    [],
     ["bogus"],
     ["num"],
-    *[[name, "-h"] for name in ("divisors", "distance", "number", "grid", "amenable")],
     ["number", "--gens", "4,5"],
     ["number", "--gens", "4,5", "--interval", "4,1", "--r", "2"],
     ["number", "--gens", "4,5", "--r", "2", "--method", "fast"],
@@ -851,6 +853,10 @@ PARSE_CASES = [
     ["number", "--gens", "4,5", "--r", "2", "--foo"],
     ["divisors", "--gens", "4,5", "--x", "9", "stray"],
     ["grid", "--amax", "4", "--bmax", "2", "--rmax", "3", "--out"],
+]
+PARSE_CASES = [
+    *HELP_ARGVS,
+    *REFUSED_ARGVS,
     ["amenable", "--gens", "4,5", "--r", "2", "--foo", "-h"],
     ["number", "--interval", "4,1", "--r", "1..3", "--no-timing"],
     ["distance", "--gens", "4,5", "--r=2", "--m", "23", "--no-timing"],
@@ -874,6 +880,19 @@ def test_command_parser_prints_what_the_whole_tree_prints(argv, monkeypatch, cap
     alone = main_outcome(argv, capsys)
     monkeypatch.setattr(cli, "_parse_args", lambda argv: cli.build_parser().parse_args(argv))
     assert main_outcome(argv, capsys) == alone
+
+
+def test_help_and_errors_match_the_pin(monkeypatch, capsys):
+    # argparse's help, usage and error text at 80 columns, byte for byte;
+    # tests/cli_help.txt holds, per argv, the exit code, stdout and stderr
+    monkeypatch.setenv("COLUMNS", "80")
+    text = "".join(
+        "$ fengrao {}\n[exit {}]\n{}[stderr]\n{}".format(
+            " ".join(argv), *main_outcome(argv, capsys)
+        )
+        for argv in HELP_ARGVS + REFUSED_ARGVS
+    )
+    assert text == (Path(__file__).parent / "cli_help.txt").read_text()
 
 
 def benchmark_argvs():
@@ -906,43 +925,38 @@ FAST_REQUESTS = [
 ]
 
 
-def command_parser(name):
-    """The argparse parser of one command alone, named as the whole tree names it."""
-    parser = argparse.ArgumentParser(prog=f"fengrao {name}", exit_on_error=False)
-    cli._COMMANDS[name][1](parser)
-    return parser
+def argparse_vars(parser, argv):
+    """vars() of what the whole tree parses from argv, or None where it refuses argv.
 
-
-def argparse_vars(parser, tokens):
-    """vars() of what parser parses from tokens, or None where it refuses them."""
+    The command name, which the reader leaves out, is dropped.
+    """
     try:
         with contextlib.redirect_stderr(io.StringIO()):
-            return vars(parser.parse_args(tokens))
-    except (SystemExit, argparse.ArgumentError):
+            args = vars(parser.parse_args(argv))
+    except SystemExit:
         return None
+    del args["command"]
+    return args
 
 
 def read_request(argv):
-    """What the command's recorder reads from argv, or None where it declines."""
-    recorder = cli._Recorder()
-    cli._COMMANDS[argv[0]][1](recorder)
-    return recorder.read(argv[1:])
+    """What the command's reader reads from argv, or None where it declines."""
+    return cli._read(argv[0], argv[1:])
 
 
 def generated_argvs(name, rng, count):
     """Random orders and subsets of the command's options, with edge values."""
-    recorder = cli._Recorder()
-    cli._COMMANDS[name][1](recorder)
+    options = cli._COMMANDS[name][2]
     edges = ["", "-5", "+7", " 8", "1_0", "x"]
     for _ in range(count):
         flags = [
-            flag for flag, spec in recorder.options.items()
+            flag for flag, spec in options.items()
             if rng.random() < (0.9 if spec.get("required") else 0.4)
         ]
         rng.shuffle(flags)
         argv = [name]
         for flag in flags:
-            spec = recorder.options[flag]
+            spec = options[flag]
             argv.append(flag)
             if "choices" in spec:
                 argv.append(rng.choice([*spec["choices"], "fast", ""]))
@@ -976,28 +990,28 @@ DECLINED_FORMS = [
 
 
 def test_reader_gives_what_argparse_parses():
-    # argparse is the reference: whatever the reader accepts, the command's
-    # own parser must parse to the same values, and the forms it leaves to
-    # argparse must be declined
+    # argparse is the reference: whatever the reader accepts, the whole tree
+    # must parse to the same values, and the forms it leaves to argparse
+    # must be declined
+    parser = cli.build_parser()
     rng = random.Random(26)
     accepted = 0
     for name in cli._COMMANDS:
-        parser = command_parser(name)
         for argv in generated_argvs(name, rng, 2000):
             args = read_request(argv)
             if args is not None:
                 accepted += 1
-                assert vars(args) == argparse_vars(parser, argv[1:]), argv
+                assert vars(args) == argparse_vars(parser, argv), argv
         for form in DECLINED_FORMS:
             argv = form(READ_BASES[name])
             assert read_request(argv) is None, argv
-        assert vars(read_request(READ_BASES[name])) == argparse_vars(parser, READ_BASES[name][1:])
+        assert vars(read_request(READ_BASES[name])) == argparse_vars(parser, READ_BASES[name])
     assert accepted >= 2000, accepted
     # the fast path serves the goldens and every benchmark request
     for argv in [argv for argv, _ in FAST_REQUESTS] + benchmark_argvs():
         args = read_request(argv)
         assert args is not None, argv
-        assert vars(args) == argparse_vars(command_parser(argv[0]), argv[1:]), argv
+        assert vars(args) == argparse_vars(parser, argv), argv
 
 
 def test_valid_requests_do_not_build_the_whole_tree(monkeypatch, capsys):
