@@ -9,7 +9,10 @@ each x <= top.  So D(x), a window of D(x) and D(M) at top = max(M) each
 take one build plus a shift per element.  A build only shifts and ORs
 the two masks of S intersect [0, c] that the semigroup keeps, so it
 costs O(top / word) machine steps and no Python step per element; a top
-above the element guard of ``semigroup`` is refused first.
+above the element guard of ``semigroup`` is refused first.  Results are
+stored by ``_trusted``, without a call of ``DivisorSet.__init__``, and
+``divisors`` tests membership inline, so D(x) costs one table lookup,
+one build and one store.
 """
 
 from __future__ import annotations
@@ -18,7 +21,7 @@ from itertools import compress
 from typing import Iterable, Iterator
 
 from .errors import InvalidInput
-from .semigroup import NumericalSemigroup, _check_element, _Record
+from .semigroup import _MAX_ELEMENT, NumericalSemigroup, _check_element, _Record
 
 _BIT_VALUES = bytes.maketrans(b"01", b"\x00\x01")
 
@@ -50,6 +53,16 @@ class DivisorSet(_Record):
         return f"DivisorSet(elements={self.elements})"
 
 
+_new = object.__new__
+
+
+def _trusted(mask: int) -> DivisorSet:
+    """The DivisorSet of ``mask``, stored without a call of ``__init__``."""
+    result = _new(DivisorSet)
+    result.mask_ = mask
+    return result
+
+
 def _element_masks(sgp: NumericalSemigroup, top: int) -> tuple[int, int]:
     """The masks of S and of top - S, both cut to [0, top].
 
@@ -58,12 +71,13 @@ def _element_masks(sgp: NumericalSemigroup, top: int) -> tuple[int, int]:
     c - top; from c on, the run [c, top] is ORed into the first, and the
     second, shifted left by top - c, gets the low bits [0, top - c].
     """
-    _check_element(top)
-    c = sgp.conductor
+    if top > _MAX_ELEMENT:
+        _check_element(top)  # raises, before anything sized by top exists
+    c = sgp.conductor_  # slots, not the properties over them: no call per read
     if top < c:
-        return sgp._small_mask & ((1 << (top + 1)) - 1), sgp._small_rev >> (c - top)
+        return sgp._small_mask_ & ((1 << (top + 1)) - 1), sgp._small_rev_ >> (c - top)
     run = (1 << (top - c + 1)) - 1  # bits [0, top - c]
-    return sgp._small_mask | (run << c), (sgp._small_rev << (top - c)) | run
+    return sgp._small_mask_ | (run << c), (sgp._small_rev_ << (top - c)) | run
 
 
 def _divisor_masks(sgp: NumericalSemigroup, lo: int, hi: int) -> list[int]:
@@ -76,11 +90,15 @@ def _divisor_masks(sgp: NumericalSemigroup, lo: int, hi: int) -> list[int]:
 
 
 def divisors(sgp: NumericalSemigroup, x: int) -> DivisorSet:
-    """D(x) = S intersect (x - S): the AND of the two masks at top = x."""
-    if not sgp.contains(x):
+    """D(x) = S intersect (x - S): the AND of the two masks at top = x.
+
+    Membership is tested inline, by the rule of ``contains``, before any
+    build.
+    """
+    if x < sgp._least_[x % sgp.multiplicity_]:
         raise InvalidInput(f"{x} is not an element of the semigroup")
     in_s, rev = _element_masks(sgp, x)
-    return DivisorSet(in_s & rev)
+    return _trusted(in_s & rev)
 
 
 def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> DivisorSet:
@@ -94,7 +112,7 @@ def divisors_of_set(sgp: NumericalSemigroup, elements: Iterable[int]) -> Divisor
     union = 0
     for x in xs:
         union |= rev >> (top - x)
-    return DivisorSet(in_s & union)
+    return _trusted(in_s & union)
 
 
 def nu(sgp: NumericalSemigroup, elements: Iterable[int]) -> int:
@@ -117,4 +135,4 @@ def divisors_above(sgp: NumericalSemigroup, y: int, x: int) -> DivisorSet:
         raise InvalidInput(
             f"need conductor {sgp.conductor} <= x <= y, got x={x}, y={y}"
         )
-    return DivisorSet(_element_masks(sgp, y - x)[1] << x)
+    return _trusted(_element_masks(sgp, y - x)[1] << x)

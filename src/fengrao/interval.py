@@ -21,7 +21,7 @@ from __future__ import annotations
 from math import isqrt
 
 from .amenable import Configuration, check_base, is_amenable
-from .divisors import DivisorSet, divisors_above
+from .divisors import DivisorSet, _trusted, divisors_above
 from .errors import InvalidInput
 from .semigroup import NumericalSemigroup, _check_element, _Record, from_generators
 
@@ -199,7 +199,7 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     for v in range(a - j, a):
         for k in range(_ceildiv(v + j - (a + b), b) - q, _ceildiv(v, b)):
             digits[m - (k * a + v)] = 49
-    return DivisorSet(int(digits[::-1], 2))
+    return _trusted(int(digits[::-1], 2))
 
 
 def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:

@@ -44,12 +44,21 @@ def test_figure_divisors_of_60():
     assert len(d) == 13
 
 
-def test_divisors_trivial_cases():
+def test_divisors_trivial_cases(monkeypatch):
     s = from_generators([9, 13, 15])
     assert divisors(s, 0).elements == (0,)
     assert divisors(s, 9).elements == (0, 9)
     with pytest.raises(InvalidInput, match="47 is not an element of the semigroup"):
         divisors(s, 47)
+
+    # a gap or a negative x is refused by the membership test, before a build
+    def fail(sgp, top):
+        raise AssertionError(f"built masks up to {top}")
+
+    monkeypatch.setattr(divisors_module, "_element_masks", fail)
+    for x in (47, 1, -1, -9):
+        with pytest.raises(InvalidInput, match=f"^{x} is not an element of the semigroup$"):
+            divisors(s, x)
 
 
 def test_divisors_symmetry():

@@ -14,6 +14,8 @@ from fengrao import (
     InvalidInput,
     NumericalSemigroup,
     divisors,
+    divisors_above,
+    divisors_of_set,
     enumerate_amenable,
     feng_rao_number,
     from_generators,
@@ -21,7 +23,7 @@ from fengrao import (
     wagon_pivot,
 )
 from fengrao.distances import FengRaoResult
-from fengrao.interval import HDecomposition, WagonPivot
+from fengrao.interval import HDecomposition, WagonPivot, interval_extra_divisors
 
 S345 = from_generators([3, 4, 5])
 
@@ -53,6 +55,18 @@ RECORDS = [
     ),
 ]
 IDS = [type(record).__name__ for record, _, _ in RECORDS]
+# the other builders of a DivisorSet, each under the name of its function
+for name, record, text in [
+    ("divisors_of_set", divisors_of_set(S345, [6, 8]), "DivisorSet(elements=(0, 3, 4, 5, 6, 8))"),
+    ("divisors_above", divisors_above(S345, 8, 3), "DivisorSet(elements=(3, 4, 5, 8))"),
+    (
+        "interval_extra_divisors",
+        interval_extra_divisors(3, 1, 11, 1, 2),
+        "DivisorSet(elements=(6, 9, 10, 12, 13, 16))",
+    ),
+]:
+    RECORDS.append((record, ("mask",), text))
+    IDS.append(name)
 
 
 def semigroup_fields(s, **changes):
