@@ -12,6 +12,7 @@ from .amenable import (
 from .distances import (
     FengRaoResult,
     brute_force_distance,
+    brute_force_distances,
     feng_rao_distance,
     feng_rao_distances,
     feng_rao_number,
@@ -45,6 +46,7 @@ __all__ = [
     "SearchSpaceTooLarge",
     "as_interval",
     "brute_force_distance",
+    "brute_force_distances",
     "ceil_sum",
     "divisors",
     "divisors_above",

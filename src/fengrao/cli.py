@@ -37,7 +37,7 @@ from .amenable import (
     shadow_representatives,
     smallest_asymptotic_base,
 )
-from .distances import DEFAULT_SUBSET_CAP, brute_force_distance, feng_rao_distances
+from .distances import DEFAULT_SUBSET_CAP, brute_force_distances, feng_rao_distances
 from .divisors import _element_masks, divisors
 from .errors import FengRaoError, InvalidInput, SearchSpaceTooLarge
 from .interval import (
@@ -236,19 +236,22 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
     else:
         methods = [args.method]
     offset = m + 1 - 2 * sgp.genus
-    # one delta column per method.  The per-r methods run first, so that a
-    # brute-force cap stops the command before the generic search; that
-    # search serves the whole range at once, and its time lands on row 0
+    # one delta column per method.  The closed form answers per r; each
+    # search serves the whole range at once, and its time lands on row 0.
+    # Brute force runs first, so that its cap stops the command before the
+    # generic search
     deltas: dict[str, list[int]] = {meth: [] for meth in methods}
     seconds = []
     for r in rs:
         t0 = time.perf_counter()
         if "interval" in deltas:
             deltas["interval"].append(offset + interval_feng_rao_number(*interval, r))
-        if "brute" in deltas:
-            res = brute_force_distance(sgp, m, r, max_subsets=args.max_brute)
-            deltas["brute"].append(res.delta)
         seconds.append(time.perf_counter() - t0)
+    if "brute" in deltas:
+        t0 = time.perf_counter()
+        results = brute_force_distances(sgp, m, rs, max_subsets=args.max_brute)
+        deltas["brute"] = [res.delta for res in results]
+        seconds[0] += time.perf_counter() - t0
     if "generic" in deltas:
         t0 = time.perf_counter()
         deltas["generic"] = [res.delta for res in feng_rao_distances(sgp, m, rs)]

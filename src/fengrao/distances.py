@@ -12,8 +12,9 @@ at its top, whatever m is, and refuses it, with its extensions, before
 building it, once its count less its size reaches best[max r] - max r,
 the limit the search's hook returns: one number bounds every size, as
 best[r] - r never falls as r grows.  A no-theory branch-and-bound
-search over all r-subsets, pruned by full divisor mask counts alone, is
-the independent oracle, of the window identity too.
+search over the subsets of one window of S, pruned by full divisor mask
+counts alone, is the independent oracle, of the window identity too; it
+also answers every r of a range in one walk.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .amenable import (
 )
 from .divisors import _divisor_masks
 from .errors import InvalidInput, SearchSpaceTooLarge
-from .semigroup import NumericalSemigroup, _Record
+from .semigroup import NumericalSemigroup, _check_element, _Record
 
 DEFAULT_SUBSET_CAP = 50_000_000
 
@@ -136,73 +137,115 @@ def feng_rao_number(sgp: NumericalSemigroup, r: int) -> FengRaoResult:
     return feng_rao_distance(sgp, smallest_asymptotic_base(sgp), r)
 
 
+def brute_force_distances(
+    sgp: NumericalSemigroup,
+    m: int,
+    rs: range,
+    max_subsets: int = DEFAULT_SUBSET_CAP,
+) -> list[FengRaoResult]:
+    """Exact delta^r(m) for every r in the step-1 range rs, from one search
+    over the subsets of S in [m, m + rho_hi], hi = max(rs).
+
+    The window is enough because some optimal configuration satisfies
+    m_i <= m + rho_i, so a k-set counts for size k only when its top is at
+    most m + rho_k.  The k-sets are {m} plus the (k-1)-subsets of
+    (m, m + rho_hi], walked depth first in lexicographic order with the
+    divisor union of each prefix; a slot leaves room for the hi - k
+    elements still to come, as the walk for hi alone would.  Each node is
+    tested as a k-set first, then extended: only a strictly smaller count
+    replaces best[k], so each size keeps the first minimal subset in
+    lexicographic order, the witness of a walk for k alone.  A k-set is
+    extended only while its count less k stays below reach[k+1], the
+    largest best[i] - i over the requested i > k: each added x is larger
+    than every element already chosen, so x itself is a new divisor, and
+    a subtree past that limit cannot beat any size.
+
+    The masks of D(m) and of the candidates are one ``_divisor_masks``
+    window.  The search is what keeps this the independent oracle for
+    feng_rao_distances: its bound uses nothing but the count, with no
+    amenability, no shadows and no closed form.  Raises InvalidInput for
+    a negative ``max_subsets``.  Before any divisor set is built, it takes
+    each r in turn and raises SearchSpaceTooLarge when the number of
+    candidate subsets C(rho_r, r-1) exceeds the cap, then InvalidInput
+    when m + rho_r is above the element guard; the subsets the search
+    visits are usually far fewer.
+    """
+    if max_subsets < 0:
+        raise InvalidInput(f"subset cap must be >= 0, got {max_subsets}")
+    sizes = _check_args(sgp, m, rs)
+    if not sizes:
+        return []
+    lo, hi = sizes.start, sizes[-1]
+    rooms = [0] * (hi + 1)  # rooms[k] = rho_k: a counted k-set's top is <= m + rho_k
+    for r in sizes:
+        rooms[r] = n = sgp.rho(r)  # every integer >= m is in S
+        total = comb(n, r - 1)
+        if total > max_subsets:
+            raise SearchSpaceTooLarge(
+                f"{total} candidate subsets exceed the cap of {max_subsets}"
+            )
+        _check_element(m + n)
+    n = rooms[hi]  # the candidates m + 1 .. m + n
+
+    base_mask, *masks = _divisor_masks(sgp, m, m + n + 1)
+    # size -> least count so far and its set.  The count is 0 for the sizes
+    # below lo, which never count, and, for a size not reached yet, more
+    # than any count (at most m + n + 1) plus any size.  Ints, not
+    # infinities: an int compares faster with an int than with a float
+    unreached = m + n + hi + 2
+    best = [0] * lo + [unreached] * (hi + 1 - lo)
+    witnesses = [(m,)] * (hi + 1)
+    reach = [unreached] * (hi + 1)  # reach[k]: the largest best[i] - i over i >= k
+    if lo == 1:
+        best[1] = base_mask.bit_count()
+    chosen = [0] * hi  # the element taken at each depth
+    # one (indices left to try, prefix union) slot per depth, not
+    # recursion, because hi may run into the thousands
+    stack = [(iter(range(n - hi + 2)), base_mask)] if hi > 1 else []
+    while stack:
+        k = len(stack) + 1  # the size of the sets this slot tries
+        indices, union = stack[-1]
+        # a k-set counts below least, with its index below room, and is
+        # extended below limit, 0 for the last size; best[k] does not move
+        # limit, as reach[k+1] leaves it out
+        least, room, limit = best[k], rooms[k], reach[k + 1] + k if k < hi else 0
+        for i in indices:
+            grown = union | masks[i]
+            count = grown.bit_count()
+            if count < least and i < room:
+                best[k] = least = count
+                witnesses[k] = (m, *chosen[: k - 2], m + 1 + i)
+                j, above = k, limit - k  # reach[k+1], or below any count at hi
+                while j > 1:  # down to the first reach that stays
+                    value = max(best[j] - j, above)
+                    if value == reach[j]:
+                        break
+                    reach[j] = above = value
+                    j -= 1
+            if count < limit:
+                chosen[k - 2] = m + 1 + i
+                stack.append((iter(range(i + 1, n - hi + k + 1)), grown))
+                break
+        else:
+            stack.pop()
+    offset = m + 1 - 2 * sgp.genus
+    return [
+        FengRaoResult(
+            m=m,
+            r=r,
+            delta=best[r],
+            e_number=best[r] - offset,
+            witness=Configuration._trusted(m, witnesses[r]),
+        )
+        for r in sizes
+    ]
+
+
 def brute_force_distance(
     sgp: NumericalSemigroup,
     m: int,
     r: int,
     max_subsets: int = DEFAULT_SUBSET_CAP,
 ) -> FengRaoResult:
-    """Exact delta^r(m) by a search over every r-subset of S in [m, m + rho_r].
-
-    The window is enough because some optimal configuration satisfies
-    m_i <= m + rho_i.  The subsets are {m} plus the (r-1)-subsets of
-    (m, m + rho_r], walked depth first in lexicographic order with the
-    divisor union of each prefix.  A subtree is skipped once
-    #D(prefix) + (elements still to add) >= the best count so far: each
-    added x is larger than every element already chosen, so x itself is
-    a new divisor.  Only strictly smaller counts replace the best, so
-    the witness is the first minimal subset in lexicographic order.
-
-    The masks of D(m) and of the candidates are one ``_divisor_masks``
-    window.  The search is what keeps this the independent oracle for
-    feng_rao_distance: its bound uses nothing but the count, with no
-    amenability, no shadows and no closed form.  Raises InvalidInput for
-    a negative ``max_subsets`` and SearchSpaceTooLarge, before any divisor
-    set is built, when the number of candidate subsets C(rho_r, r-1)
-    exceeds it; the subsets the search visits are usually far fewer.
-    """
-    if max_subsets < 0:
-        raise InvalidInput(f"subset cap must be >= 0, got {max_subsets}")
-    _check_args(sgp, m, _one_size(r))
-    n = sgp.rho(r)  # the candidates m + 1 .. m + n: every integer >= m is in S
-    total = comb(n, r - 1)
-    if total > max_subsets:
-        raise SearchSpaceTooLarge(
-            f"{total} candidate subsets exceed the cap of {max_subsets}"
-        )
-
-    base_mask, *masks = _divisor_masks(sgp, m, m + n + 1)
-    witness: list[int] = []  # candidate indices of the best subset
-    if r == 1:
-        best = base_mask.bit_count()
-    else:
-        best = m + n + 2  # a union has at most m + n + 1 bits: the first leaf wins
-        chosen = [0] * (r - 1)  # the candidate index taken at each depth
-        # one (indices left to try, prefix union) slot per depth, not
-        # recursion, because r may run into the thousands
-        stack = [(iter(range(n - r + 2)), base_mask)]
-        while stack:
-            depth = len(stack) - 1
-            left = r - 1 - depth  # elements still to add, the next one included
-            indices, union = stack[-1]
-            for i in indices:
-                grown = union | masks[i]
-                count = grown.bit_count()
-                if left == 1:
-                    if count < best:
-                        best = count
-                        witness = chosen[:depth] + [i]
-                elif count + left - 1 < best:  # each later element adds itself
-                    chosen[depth] = i
-                    stack.append((iter(range(i + 1, n - left + 2)), grown))
-                    break
-            else:
-                stack.pop()
-    elements = (m,) + tuple(m + 1 + i for i in witness)
-    return FengRaoResult(
-        m=m,
-        r=r,
-        delta=best,
-        e_number=best - (m + 1 - 2 * sgp.genus),
-        witness=Configuration(base=m, elements=elements),
-    )
+    """Exact delta^r(m): brute_force_distances for the one size r."""
+    return brute_force_distances(sgp, m, _one_size(r), max_subsets)[0]

@@ -7,12 +7,15 @@ from the repository root:
 
 Part one compares the isqrt ``h_decompose`` with the block walk of
 ``interval_reference.py`` at every b <= 20, r <= 30,000.  Part two
-compares ``brute_force_distance`` at m = 2c - 1 with the interval closed
-form at every point of b < a <= amax, r <= rmax.  Part three compares it
-with the generic search on the test corpus at the bases 2c - 1, ...,
-2c + 5, for r <= 8 and, on the semigroups with conductor c <= 48, for
-every r <= c + 1 as well (brute force took 56 s for r = 40 alone on
-<11, 13>, c = 120).  For the same semigroups and sizes it also runs the
+compares brute force at m = 2c - 1 with the interval closed form at every
+point of b < a <= amax, r <= rmax.  Part three compares it with the
+generic search on the test corpus at the bases 2c - 1, ..., 2c + 5, for
+r <= 8 and, on the semigroups with conductor c <= 48, for every r <= c + 1
+as well (brute force took 41-56 s for r = 40 alone on <11, 13>, c = 120,
+and 46 s for r 1..40 in one walk).  In parts two and three brute force
+answers each semigroup and base in one ``brute_force_distances`` walk
+over the whole range of r, as the generic search does.  For the same
+semigroups and sizes part three also runs the
 generic search at m = 2c - 1 + 10^6, past the element guard of the
 divisor masks, and checks delta and witness against the 2c - 1 answer
 translated by 10^6.  Its second half compares brute force with the
@@ -59,7 +62,7 @@ from interval_reference import block_walk_decompose
 
 from fengrao import (
     as_interval,
-    brute_force_distance,
+    brute_force_distances,
     divisors,
     divisors_above,
     divisors_of_set,
@@ -108,12 +111,11 @@ def sweep_closed_form(amax: int, rmax: int) -> tuple[int, list[tuple]]:
         for b in range(1, a):
             s = interval_semigroup(a, b)
             m = smallest_asymptotic_base(s)
-            for r in range(1, rmax + 1):
+            for res in brute_force_distances(s, m, range(1, rmax + 1), NO_CAP):
                 points += 1
-                brute = brute_force_distance(s, m, r, max_subsets=NO_CAP).e_number
-                closed = interval_feng_rao_number(a, b, r)
-                if brute != closed:
-                    mismatches.append((a, b, r, brute, closed))
+                closed = interval_feng_rao_number(a, b, res.r)
+                if res.e_number != closed:
+                    mismatches.append((a, b, res.r, res.e_number, closed))
     return points, mismatches
 
 
@@ -128,9 +130,10 @@ def sweep_generic() -> tuple[int, int, list[tuple]]:
         base = smallest_asymptotic_base(s)
         for offset in CORPUS_OFFSETS:
             m = base + offset
-            for res in feng_rao_distances(s, m, sizes):
+            pairs = zip(brute_force_distances(s, m, sizes, NO_CAP),
+                        feng_rao_distances(s, m, sizes))
+            for brute, res in pairs:
                 points += 1
-                brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
                 if brute.delta != res.delta:
                     mismatches.append((gens, m, res.r, brute.delta, res.delta,
                                        brute.witness.elements, res.witness.elements))
@@ -156,9 +159,10 @@ def sweep_genus() -> tuple[int, int, list[tuple]]:
     points, mismatches = 0, []
     for s in semigroups:
         m = smallest_asymptotic_base(s)
-        for res in feng_rao_distances(s, m, range(1, s.conductor + 2)):
+        sizes = range(1, s.conductor + 2)
+        pairs = zip(brute_force_distances(s, m, sizes, NO_CAP), feng_rao_distances(s, m, sizes))
+        for brute, res in pairs:
             points += 1
-            brute = brute_force_distance(s, m, res.r, max_subsets=NO_CAP)
             if (brute.delta, brute.witness) != (res.delta, res.witness):
                 mismatches.append((s.minimal_generators, res.r, brute.delta, res.delta,
                                    brute.witness.elements, res.witness.elements))

@@ -13,6 +13,7 @@ from pathlib import Path
 import pytest
 
 import fengrao.cli as cli
+import fengrao.distances as distances
 import fengrao.semigroup as semigroup
 from fengrao import (
     Configuration,
@@ -178,6 +179,50 @@ def test_brute_cap_stops_all_before_the_generic_search(monkeypatch, capsys):
     assert code == 4
 
 
+def _refuse_masks(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a divisor mask was built")
+
+    monkeypatch.setattr(distances, "_divisor_masks", refuse)
+
+
+def test_brute_cap_in_the_middle_of_a_range_refused_before_any_mask(monkeypatch, capfd):
+    # <9,13,15> has C(rho_r, r-1) = 455, 3,060 and 26,334 at r = 4, 5, 6:
+    # the first r over the cap is refused, before the walk builds its window
+    _refuse_masks(monkeypatch)
+    for method in ("brute", "all"):
+        code = cli.main([
+            "number", "--gens", "9,13,15", "--r", "4..6", "--method", method,
+            "--max-brute", "3059", "--no-timing",
+        ])
+        out, err = capfd.readouterr()
+        assert (code, out) == (4, ""), method
+        assert err == "error: 3060 candidate subsets exceed the cap of 3059\n"
+
+
+@pytest.mark.parametrize(
+    "m, cap, code, message",
+    [
+        # rho_5 = 18: m + rho_5 = 4,000,001 is over the element guard, and
+        # r = 5 is over the cap too; each r's cap comes before its guard
+        (3_999_983, 3059, 4, "3060 candidate subsets exceed the cap of 3059"),
+        (3_999_983, None, 2, "element 4000001 exceeds the guard of 4000000"),
+        # a smaller r refuses first, whichever check it fails
+        (3_999_983, 454, 4, "455 candidate subsets exceed the cap of 454"),
+        (3_999_986, 3059, 2, "element 4000001 exceeds the guard of 4000000"),
+    ],
+)
+def test_brute_refusals_keep_their_order(monkeypatch, capfd, m, cap, code, message):
+    _refuse_masks(monkeypatch)
+    argv = ["number", "--gens", "9,13,15", "--r", "4..6", "--m", str(m),
+            "--method", "brute", "--no-timing"]
+    if cap is not None:
+        argv += ["--max-brute", str(cap)]
+    assert cli.main(argv) == code
+    out, err = capfd.readouterr()
+    assert (out, err) == ("", f"error: {message}\n")
+
+
 def test_m_below_guarantee_refused(capsys):
     code, _ = run_cli(
         capsys, "distance", "--gens", "4,5", "--r", "2", "--m", "13", "--no-timing"
@@ -304,7 +349,7 @@ def test_r_bound_refused_before_any_work(monkeypatch, capsys):
         raise AssertionError("the search started")
 
     for name in ("feng_rao_distances", "interval_feng_rao_number",
-                 "brute_force_distance", "enumerate_amenable"):
+                 "brute_force_distances", "enumerate_amenable"):
         monkeypatch.setattr(cli, name, refuse)
     for method in ("generic", "interval", "brute", "all", "auto"):
         for r in ("1..1000000000000", "10001"):

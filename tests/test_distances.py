@@ -13,6 +13,7 @@ from fengrao import (
     InvalidInput,
     SearchSpaceTooLarge,
     brute_force_distance,
+    brute_force_distances,
     divisors,
     feng_rao_distance,
     feng_rao_distances,
@@ -49,6 +50,7 @@ def test_argument_validation():
     with pytest.raises(InvalidInput):
         feng_rao_distance(s, 23, 0)
     assert feng_rao_distances(s, 23, range(3, 3)) == []
+    assert brute_force_distances(s, 23, range(3, 3)) == []
     for sizes in (range(1, 5, 2), [1, 2]):
         with pytest.raises(InvalidInput, match="sizes must be an int or a step-1 range"):
             feng_rao_distances(s, 23, sizes)
@@ -97,7 +99,8 @@ def test_generic_search_counts_in_one_frame(monkeypatch):
 
 
 def test_brute_force_builds_one_window_and_no_single_divisor_set(monkeypatch):
-    # D(m) and every candidate mask come from the window [m, m + rho_r]
+    # D(m) and every candidate mask come from the window [m, m + rho_r], and
+    # a range's from the one window of its largest r
     real_masks = distances._divisor_masks
     windows = []
 
@@ -119,6 +122,12 @@ def test_brute_force_builds_one_window_and_no_single_divisor_set(monkeypatch):
             assert brute_force_distance(s, m, r) == expected
             monkeypatch.undo()
             assert windows == [(m, m + s.rho(r) + 1)], (s.minimal_generators, r)
+        expected = brute_force_distances(s, m, range(2, 5))
+        windows.clear()
+        monkeypatch.setattr(distances, "_divisor_masks", counted)
+        assert brute_force_distances(s, m, range(2, 5)) == expected
+        monkeypatch.undo()
+        assert windows == [(m, m + s.rho(4) + 1)], s.minimal_generators
 
 
 def test_translation_identity():
@@ -257,6 +266,51 @@ def test_brute_force_matches_the_combinations_reference():
         res = brute_force_distance(s, m, r)
         expected = combinations_brute_force(s, m, r)
         assert (res.delta, res.witness.elements) == expected, (s.minimal_generators, m, r)
+
+
+def test_brute_force_ranges_match_the_combinations_reference():
+    # one walk serves lo..hi, hi <= 7, at bases 2c-1 + 0..6: every r has the
+    # reference's delta and witness, in ranges from 1, ranges from above 1
+    # and single sizes
+    rng = random.Random(30)
+    ranges = []
+    while len(ranges) < 240:
+        a = rng.randint(1, 14)
+        rest = rng.sample(range(a + 1, 3 * a + 3), rng.randint(0, min(3, 2 * a + 2)))
+        if gcd(a, *rest) != 1:
+            continue
+        s = from_generators([a, *rest])
+        lo = rng.choice([1, rng.randint(2, 7)])
+        hi = rng.choice([lo, rng.randint(lo, 7)])
+        if sum(comb(s.rho(r), r - 1) for r in range(lo, hi + 1)) > 100_000:
+            continue
+        ranges.append((s, smallest_asymptotic_base(s) + rng.randint(0, 6), lo, hi))
+    shapes = {(lo == 1, lo == hi) for _, _, lo, hi in ranges}
+    assert shapes == {(True, True), (True, False), (False, True), (False, False)}
+    for s, m, lo, hi in ranges:
+        results = brute_force_distances(s, m, range(lo, hi + 1))
+        assert [res.r for res in results] == list(range(lo, hi + 1))
+        for res in results:
+            expected = combinations_brute_force(s, m, res.r)
+            assert (res.delta, res.witness.elements) == expected, (
+                s.minimal_generators, m, lo, hi, res.r,
+            )
+
+
+def test_brute_force_range_equals_its_single_sizes_up_to_genus_10():
+    # r 1..c+1 in one walk against one walk per r, delta and witness
+    points = 0
+    for level in semigroups_by_genus(10):
+        for s in level:
+            if s.conductor < 2:
+                continue
+            m = smallest_asymptotic_base(s)
+            results = brute_force_distances(s, m, range(1, s.conductor + 2), float("inf"))
+            for res in results:
+                single = brute_force_distance(s, m, res.r, max_subsets=float("inf"))
+                assert res == single, (s.minimal_generators, res.r)
+                points += 1
+    assert points == 7278
 
 
 def test_brute_force_depth_is_not_bound_by_the_recursion_limit():
