@@ -11,17 +11,17 @@ sorted element offsets with those bounds as pruning.  A table ``need``
 gives, for each offset t, the mask of the offsets t - n (n a minimal
 generator) that must already be present, so checking a candidate is one
 mask test.  The search keeps one slot per depth (element, mask, next
-candidate, bound) and ``need``, about rho_r^2 / 16 bytes.  Every prefix
-of an amenable set is amenable, so the search to depth r passes every
-amenable set of each size below r on its way; it builds a tuple only for
-the sets of size r, which it yields in lexicographic order, with
-``Configuration._trusted``, which skips the validation the search
-already guarantees.  Sizes above ``_MAX_SIZE``, and a rho_r above
-``_MAX_RHO``, are refused before the tables sized by them exist.
-A ``hook`` makes the walker count each candidate's divisors in a c-bit
-window and refuse it, with its extensions, once its count less its size
-reaches the limit the hook returns on each set admitted; the distance
-search keeps each size's best there.
+candidate, bound, and with a hook the window and top offset) and
+``need``, about rho_r^2 / 16 bytes.  Every prefix of an amenable set is
+amenable, so the search to depth r passes every amenable set of each
+size below r on its way; it builds a tuple only for the sets of size r,
+which it yields in lexicographic order, with ``Configuration._trusted``,
+which skips the validation the search already guarantees.  Sizes above
+``_MAX_SIZE``, and a rho_r above ``_MAX_RHO``, are refused before the
+tables sized by them exist.  A ``hook`` hears each set admitted with its
+divisor count and returns a limit; the walker counts each candidate in a
+c-bit window and refuses it, with its extensions, once its count less its
+size reaches that limit.  The distance search keeps each size's best there.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
@@ -34,7 +34,7 @@ each depth's scan after its first admitted candidate above the ground.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Iterator
+from typing import Callable, Iterable, Iterator
 
 from .divisors import _element_masks
 from .errors import InvalidInput
@@ -58,7 +58,8 @@ class Configuration(_Record):
 
     __slots__ = ("base_", "elements_")
 
-    def __init__(self, base: int, elements: tuple[int, ...]) -> None:
+    def __init__(self, base: int, elements: Iterable[int]) -> None:
+        elements = tuple(elements)
         if any(a >= b for a, b in zip(elements, elements[1:])):
             raise InvalidInput("configuration elements must be strictly increasing")
         if elements and elements[0] != base:
@@ -159,7 +160,7 @@ def enumerate_amenable(
     m: int,
     r: int,
     *,
-    hook: Callable[[int, int, int], float] | None = None,
+    hook: Callable[[list[int], int, int], float] | None = None,
     one_per_shadow: bool = False,
 ) -> Iterator[Configuration]:
     """All (S, m, r)-amenable sets, in lexicographic element order.
@@ -175,13 +176,15 @@ def enumerate_amenable(
     integers in (m - c, T - c] are in S and divide T, and y > T - c
     divides x <= T only as x - s with s < c.  So a child at offset
     t > top, its prefix's top offset, has V' = (V >> (t - top)) | R, R
-    with bit c - 1 - s for each element s < c, and count =
-    t + popcount(V'), #D less the m - c + 1 - g divisors every set
-    shares: one shift, one OR and one bit count in c bits, whatever m
-    and T are.  The empty prefix has V = 0 and top 0.  A k-set with
-    count - k >= limit is refused, with its extensions, and nothing is
-    called; each set admitted is passed as ``hook(k, x, count)``, x its
-    largest element, in pre-order and before it is built, yielded or
+    with bit c - 1 - s for each element s < c, and count n =
+    (m - c + 1 - g) + t + popcount(V'): one shift, one OR and one bit
+    count in c bits per candidate, whatever m and T are; the walker adds
+    the shared m - c + 1 - g only to the counts it reports and takes it
+    out of each limit it hears.  The empty prefix has V = 0 and top 0.
+    A k-set with n - k >= limit is refused, with its extensions, and
+    nothing is called.  Each set admitted is passed as
+    ``hook(elems, k, n)``, ``elems[:k]`` the set in the walker's own list
+    (a hook copies what it keeps), before it is built, yielded or
     extended, and the hook returns the new limit.  The limit starts at
     infinity and must never rise.
 
@@ -229,6 +232,7 @@ def enumerate_amenable(
     rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R
     windows = [0] * (r + 1)
     tops = [0] * (r + 1)
+    shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
     limit: float = inf
     while depth >= 0:
         mask = masks[depth]
@@ -249,11 +253,11 @@ def enumerate_amenable(
         else:
             depth -= 1
             continue
+        elems[depth] = m + t
         if hook is not None:
-            limit = hook(depth + 1, m + t, count)
+            limit = hook(elems, depth + 1, count + shared) - shared
             windows[depth + 1], tops[depth + 1] = grown, t
         nexts[depth] = t + 1 if t < stop else bound + 1
-        elems[depth] = m + t
         if depth < last:
             depth += 1
             masks[depth] = mask | (1 << t)
@@ -269,14 +273,14 @@ def shadow_representatives(
     m: int,
     r: int,
     *,
-    hook: Callable[[int, int, int], float] | None = None,
+    hook: Callable[[list[int], int, int], float] | None = None,
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
     enumerate_amenable with ``one_per_shadow``: the walker draws these
-    sets itself and drops none.  A ``hook`` hears only the sets the
-    walker still scans and admits; the limit it returns only falls, and
-    sets of one shadow and size share one count, so each set the walker
-    draws is still the first of its group.
+    sets itself and drops none.  A ``hook`` hears ``hook(elems, k, n)``
+    only for the sets the walker still scans and admits; the limit it
+    returns only falls, and sets of one shadow and size share one count,
+    so each set the walker draws is still the first of its group.
     """
     yield from enumerate_amenable(sgp, m, r, hook=hook, one_per_shadow=True)

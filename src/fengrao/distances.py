@@ -8,9 +8,10 @@ on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
 The search is a branch and bound on the walk of one amenable set per
 shadow and size: the walker counts each set in a c-bit window that ends
-at its top, whatever m is, and refuses it, with its extensions, before
-building it, once its count less its size reaches best[max r] - max r,
-the limit the search's hook returns: one number bounds every size, as
+at its top, whatever m is, and hands the search's hook each set it
+admits with its divisor count.  It refuses a set, with its extensions,
+before building it, once its count less its size reaches best[max r] -
+max r, the limit the hook returns: one number bounds every size, as
 best[r] - r never falls as r grows.  A no-theory branch-and-bound
 search over the subsets of one window of S, pruned by full divisor mask
 counts alone, is the independent oracle, of the window identity too; it
@@ -68,17 +69,16 @@ def feng_rao_distances(
     """delta^r(m) for every r in the step-1 range rs, from one search.
 
     The walker draws the amenable sets up to size max(rs), one per shadow
-    and size, in pre-order, and counts each k-set's divisors n, less the
-    m - c + 1 - g every set shares (see ``enumerate_amenable``).  The
-    search's hook hears each set it admits, keeps a set below the best of
-    its size as that size's best, and returns the limit best[hi] - hi,
-    hi = max(rs): the walker refuses a set, with its extensions, when
-    n - k reaches it.
+    and size, and counts each k-set's divisors n (see
+    ``enumerate_amenable``).  The search's hook hears each set it admits,
+    keeps a set below the best of its size as that size's best, and
+    returns the limit best[hi] - hi, hi = max(rs): the walker refuses a
+    set, with its extensions, when n - k reaches it.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size j
     under P has at least #D(P) + (j - k) divisors.  One number is
-    enough, as best[j] - j never falls as j grows over lo..hi:
+    enough, as best[j] - j never falls as j grows over 1..hi:
     best[j+1] only takes the count of an admitted (j+1)-set Q, whose
     j-prefix P was admitted before and compared with best[j], so
     best[j] <= #D(P) <= #D(Q) - 1 (Q's largest element divides itself
@@ -95,32 +95,27 @@ def feng_rao_distances(
     sizes = _check_args(sgp, m, rs)
     if not sizes:
         return []
-    lo, hi = sizes.start, sizes[-1]
+    hi = sizes[-1]
 
-    # elems[k]: the top of the last k-set heard; sets come in pre-order,
-    # so elems[1..k] is the set being heard
-    elems = [0] * (hi + 1)
-    # size -> least count so far and its set; -inf for the sizes below lo,
-    # which no set of theirs can improve
-    best: list[float] = [-inf] * lo + [inf] * (hi + 1 - lo)
+    # size -> least count so far and its set, for every size up to hi
+    best: list[float] = [inf] * (hi + 1)
     witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
 
-    def record(k: int, x: int, count: int) -> float:
-        elems[k] = x
+    def record(elems: list[int], k: int, count: int) -> float:
         if count < best[k]:
             best[k] = count
-            witnesses[k] = tuple(elems[1 : k + 1])
+            witnesses[k] = tuple(elems[:k])
         return best[hi] - hi
 
     for _ in shadow_representatives(sgp, m, hi, hook=record):
         pass
-    shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
+    offset = m + 1 - 2 * sgp.genus
     return [
         FengRaoResult(
             m=m,
             r=r,
-            delta=shared + best[r],
-            e_number=best[r] + sgp.genus - sgp.conductor,  # delta - (m + 1 - 2g)
+            delta=best[r],
+            e_number=best[r] - offset,
             witness=Configuration._trusted(m, witnesses[r]),
         )
         for r in sizes

@@ -176,21 +176,15 @@ def test_enumerate_matches_exhaustive_definition():
 
 
 class Recorder:
-    """A hook that rebuilds each set it hears from the per-size state.
-
-    Sets come in pre-order, so the last set heard at size k - 1 is the
-    prefix of the one heard at size k.  It records every (set, count) and
-    answers with the fixed ``limit``.
-    """
+    """A hook that records every (set, count) it hears, copying the set out
+    of the walker's list, and answers with the fixed ``limit``."""
 
     def __init__(self, limit=inf):
         self.limit = limit
         self.heard = []
-        self.last = {0: ()}
 
-    def __call__(self, k, x, count):
-        self.last[k] = self.last[k - 1] + (x,)
-        self.heard.append((self.last[k], count))
+    def __call__(self, elems, k, count):
+        self.heard.append((tuple(elems[:k]), count))
         return self.limit
 
 
@@ -203,20 +197,13 @@ def pre_order(sgp, m, r):
     return sorted(c.elements for k in range(1, r + 1) for c in enumerate_amenable(sgp, m, k))
 
 
-def window_count(sgp, elements):
-    """The walker's count from an independent divisor union: #D less the
-    m - c + 1 - g divisors every set at base m shares."""
-    m = elements[0]
-    return nu(sgp, elements) - (m - sgp.conductor + 1 - sgp.genus)
-
-
 def test_infinite_limit_gives_the_unhooked_stream():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
         for r in range(rmax + 1):
             for source in (enumerate_amenable, shadow_representatives):
-                hooked = list(source(s, m, r, hook=lambda k, x, count: inf))
+                hooked = list(source(s, m, r, hook=lambda elems, k, count: inf))
                 assert hooked == list(source(s, m, r)), (gens, r)
 
 
@@ -232,9 +219,9 @@ def test_hook_hears_each_set_with_its_count_before_its_yield():
                     assert hook.heard[-1][0] == config.elements
                 # every amenable set of size 1..r, in pre-order, with the
                 # count of its divisor union
-                assert hook.heard == [
-                    (e, window_count(s, e)) for e in pre_order(s, m, r)
-                ], (gens, m, r)
+                assert hook.heard == [(e, nu(s, e)) for e in pre_order(s, m, r)], (
+                    gens, m, r
+                )
 
 
 def test_finite_limit_refuses_sets_and_their_extensions():
@@ -242,7 +229,7 @@ def test_finite_limit_refuses_sets_and_their_extensions():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
         every = pre_order(s, m, 5)
-        slack = {e: window_count(s, e) - len(e) for e in every}
+        slack = {e: nu(s, e) - len(e) for e in every}
         for limit in range(min(slack.values()) - 1, max(slack.values()) + 2):
             # a set passes when it and each of its prefixes count below the
             # limit; {m} comes first, while the limit is still infinite

@@ -415,9 +415,9 @@ def test_bounded_search_work_is_pinned(monkeypatch, case):
 
     def heard(source):
         def through(*args, hook, **kwargs):
-            def counted_hook(k, x, count):
+            def counted_hook(elems, k, count):
                 work["heard"] += 1
-                return hook(k, x, count)
+                return hook(elems, k, count)
 
             return source(*args, hook=counted_hook, **kwargs)
 
@@ -500,3 +500,19 @@ def test_feng_rao_number_at_most_rho_up_to_genus_12():
                 assert res.e_number == s.rho(res.r), (s.minimal_generators, res.r)
             points += 1
     assert points == 27172
+
+
+def test_witness_above_the_conductor_is_the_initial_interval_up_to_genus_10():
+    # for r > c the first minimum in lexicographic order is {m, ..., m + r - 1},
+    # the least r-set of all, and E(S, r) = rho_r
+    envelope = [s for level in semigroups_by_genus(10) for s in level]
+    points = 0
+    for s in envelope:
+        m = smallest_asymptotic_base(s)
+        for res in feng_rao_distances(s, m, range(s.conductor + 1, s.conductor + 4)):
+            assert res.witness.elements == tuple(range(m, m + res.r)), (
+                s.minimal_generators, res.r,
+            )
+            assert res.e_number == s.rho(res.r), (s.minimal_generators, res.r)
+            points += 1
+    assert points == 1434

@@ -178,6 +178,26 @@ def test_configuration_validates_keyword_and_positional_construction():
     assert Configuration(base=5, elements=()) == Configuration(5, ())
 
 
+def test_configuration_keeps_its_elements_as_a_tuple():
+    built = Configuration(base=5, elements=(5, 6, 7))
+    for elements in ([5, 6, 7], iter((5, 6, 7)), range(5, 8)):
+        config = Configuration(base=5, elements=elements)
+        assert type(config.elements) is tuple and config == built
+        assert hash(config) == hash(built)
+        assert repr(config) == "Configuration(base=5, elements=(5, 6, 7))"
+    # the record owns its copy: changing the list it came from changes nothing
+    source = [5, 6, 7]
+    config = Configuration(5, source)
+    source[0] = 4
+    assert config.elements == (5, 6, 7)
+    # a tuple is kept as it is
+    assert Configuration(5, built.elements).elements is built.elements
+    with pytest.raises(InvalidInput, match="strictly increasing"):
+        Configuration(5, iter([5, 7, 6]))
+    with pytest.raises(InvalidInput, match="differs from base"):
+        Configuration(5, [6, 7])
+
+
 def test_trusted_configuration_equals_the_validated_one():
     trusted = Configuration._trusted(5, (5, 6, 7))
     built = Configuration(base=5, elements=(5, 6, 7))
