@@ -11,17 +11,18 @@ sorted element offsets with those bounds as pruning.  A table ``need``
 gives, for each offset t, the mask of the offsets t - n (n a minimal
 generator) that must already be present, so checking a candidate is one
 mask test.  The search keeps one slot per depth (element, mask, next
-candidate, bound, and with a hook the window and top offset) and
+candidate, bound, and in a counted walk the window and top offset) and
 ``need``, about rho_r^2 / 16 bytes.  Every prefix of an amenable set is
 amenable, so the search to depth r passes every amenable set of each
 size below r on its way; it builds a tuple only for the sets of size r,
 which it yields in lexicographic order, with ``Configuration._trusted``,
 which skips the validation the search already guarantees.  Sizes above
 ``_MAX_SIZE``, and a rho_r above ``_MAX_RHO``, are refused before the
-tables sized by them exist.  A ``hook`` hears each set admitted with its
-divisor count and returns a limit; the walker counts each candidate in a
-c-bit window and refuses it, with its extensions, once its count less its
-size reaches that limit.  The distance search keeps each size's best there.
+tables sized by them exist.  Given a ``_SizeRecord``, the walker counts
+each candidate in a c-bit window, refuses it, with its extensions, once
+its count less its size reaches best[r] - r, and keeps each size's least
+count and first witness in the record itself, with its work counts.  The
+distance search reads its answers there.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
 minimal generator; the shadow of M is its intersection with the ground.
@@ -34,7 +35,7 @@ each depth's scan after its first admitted candidate above the ground.
 from __future__ import annotations
 
 from math import inf
-from typing import Callable, Iterable, Iterator
+from typing import Iterable, Iterator
 
 from .divisors import _element_masks
 from .errors import InvalidInput
@@ -155,12 +156,33 @@ def _one_size(r: int) -> range:
     return _size_range(r)
 
 
+class _SizeRecord:
+    """What a counting walk to depth r keeps per size, filled by the walker.
+
+    ``best[k]`` is the least divisor count #D of the k-sets admitted so
+    far, ``inf`` before the first, and ``witnesses[k]`` the first of them
+    in lexicographic order, for k in 1..r: a count replaces the best only
+    when strictly smaller; both are current at each yield.  ``sets``
+    counts the sets admitted and ``scanned`` the candidate offsets the
+    scans tested, added when the walk ends.  A caller may seed ``best``
+    before the walk, which lowers the limit from the start.
+    """
+
+    __slots__ = ("best", "witnesses", "sets", "scanned")
+
+    def __init__(self, r: int) -> None:
+        self.best: list[float] = [inf] * (r + 1)
+        self.witnesses: list[tuple[int, ...]] = [()] * (r + 1)
+        self.sets = 0
+        self.scanned = 0
+
+
 def enumerate_amenable(
     sgp: NumericalSemigroup,
     m: int,
     r: int,
     *,
-    hook: Callable[[list[int], int, int], float] | None = None,
+    record: _SizeRecord | None = None,
     one_per_shadow: bool = False,
 ) -> Iterator[Configuration]:
     """All (S, m, r)-amenable sets, in lexicographic element order.
@@ -169,24 +191,22 @@ def enumerate_amenable(
     bit for every generator difference t - n >= 0, so a candidate offset
     t extends a partial set exactly when ``mask & need[t] == need[t]``.
 
-    With a ``hook``, the walker counts each candidate that passes the
-    mask test.  A set M with top T has #D(M) = (m - c + 1 - g) + (T - m)
-    + popcount(V), V its window: bit i is set when T - c + 1 + i divides
-    an element of M.  Elements up to m - c divide every x >= m, the
-    integers in (m - c, T - c] are in S and divide T, and y > T - c
-    divides x <= T only as x - s with s < c.  So a child at offset
-    t > top, its prefix's top offset, has V' = (V >> (t - top)) | R, R
-    with bit c - 1 - s for each element s < c, and count n =
-    (m - c + 1 - g) + t + popcount(V'): one shift, one OR and one bit
-    count in c bits per candidate, whatever m and T are; the walker adds
-    the shared m - c + 1 - g only to the counts it reports and takes it
-    out of each limit it hears.  The empty prefix has V = 0 and top 0.
-    A k-set with n - k >= limit is refused, with its extensions, and
-    nothing is called.  Each set admitted is passed as
-    ``hook(elems, k, n)``, ``elems[:k]`` the set in the walker's own list
-    (a hook copies what it keeps), before it is built, yielded or
-    extended, and the hook returns the new limit.  The limit starts at
-    infinity and must never rise.
+    With a ``record`` (a ``_SizeRecord`` for size r), the walker counts
+    each candidate that passes the mask test.  A set M with top T has
+    #D(M) = (m - c + 1 - g) + (T - m) + popcount(V), V its window: bit i
+    is set when T - c + 1 + i divides an element of M.  Elements up to
+    m - c divide every x >= m, the integers in (m - c, T - c] are in S
+    and divide T, and y > T - c divides x <= T only as x - s with s < c.
+    So a child at offset t > top, its prefix's top offset, has V' =
+    (V >> (t - top)) | R, R with bit c - 1 - s for each element s < c:
+    one shift, one OR and one bit count in c bits per candidate, whatever
+    m and T are.  The empty prefix has V = 0 and top 0.  A k-set whose
+    count n has n - k >= best[r] - r, the limit, is refused with its
+    extensions.  Each set admitted is kept as its size's best when its
+    count is below it, before it is built, yielded or extended, and only
+    then is the limit recomputed; the shared m - c + 1 - g is added once
+    per admitted set, never per candidate.  With no record, the scan is
+    the bare mask test and every amenable set of size r is yielded.
 
     With ``one_per_shadow``, a depth's scan stops after its first
     admitted offset t >= n_e, so only the first set of each shadow and
@@ -212,10 +232,13 @@ def enumerate_amenable(
         raise InvalidInput(f"rho_{r} = {rho[-1]} is above the limit of {_MAX_RHO}")
     # a depth's scan ends at its first admitted t >= stop; no t reaches rho_r + 1
     stop = sgp.largest_generator if one_per_shadow else rho[-1] + 1
-    need = [0] * (rho[-1] + 1)
+    # need[t] = gens >> (size - t), gens with bit size - n for each generator n
+    size = rho[-1] + 1
+    gens = 0
     for n in sgp.minimal_generators:
-        for t in range(n, len(need)):
-            need[t] |= 1 << (t - n)
+        if n < size:
+            gens |= 1 << (size - n)
+    need = [gens >> (size - t) for t in range(size)]
 
     # slot d describes the prefix of d elements: its offset mask, the next
     # candidate offset and the largest one allowed; elems[d] is the element
@@ -227,23 +250,31 @@ def enumerate_amenable(
     nexts = [0] * r
     bounds = [0] * r
     depth = 0
-    # with a hook, slot d also keeps its prefix's window V and top offset;
-    # with none, the scan is the bare mask test and nothing is read for it
-    rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R
-    windows = [0] * (r + 1)
-    tops = [0] * (r + 1)
-    shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
-    limit: float = inf
+    # with a record, slot d also keeps its prefix's window V and top offset;
+    # with none, the scan is the bare mask test and nothing is read for it.
+    # A slot scans every offset from its first candidate to its bound, less
+    # those a stop skips, so ``scanned`` takes each slot's span as it is
+    # pushed and gives the skipped offsets back, one add per slot, not per
+    # candidate; a walk with no record counts it too and drops it
+    scanned = 1  # slot 0 scans offset 0
+    if record is not None:
+        rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R
+        windows = [0] * (r + 1)
+        tops = [0] * (r + 1)
+        shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
+        best, witnesses = record.best, record.witnesses
+        limit = best[r] - r - shared  # on counts less the shared divisors
+        sets = 0
     while depth >= 0:
         mask = masks[depth]
         bound = bounds[depth]
         t = nexts[depth]
-        if hook is not None:
+        if record is not None:
             window, top, cut = windows[depth], tops[depth], limit + depth + 1
         while t <= bound:
             req = need[t]
             if mask & req == req:
-                if hook is None:
+                if record is None:
                     break
                 grown = (window >> (t - top)) | rev
                 count = t + grown.bit_count()
@@ -254,33 +285,43 @@ def enumerate_amenable(
             depth -= 1
             continue
         elems[depth] = m + t
-        if hook is not None:
-            limit = hook(elems, depth + 1, count + shared) - shared
-            windows[depth + 1], tops[depth + 1] = grown, t
-        nexts[depth] = t + 1 if t < stop else bound + 1
-        if depth < last:
-            depth += 1
-            masks[depth] = mask | (1 << t)
+        k = depth + 1
+        if record is not None:
+            sets += 1
+            count += shared
+            if count < best[k]:
+                best[k] = count
+                witnesses[k] = tuple(elems[:k])
+                limit = best[r] - r - shared
+            windows[k], tops[k] = grown, t
+        if t < stop:
             nexts[depth] = t + 1
+        else:
+            nexts[depth] = bound + 1
+            scanned -= bound - t
+        if depth < last:
+            depth = k
+            masks[k] = mask | (1 << t)
+            nexts[k] = t + 1
             bound = t + rho2
-            bounds[depth] = bound if bound < rho[depth] else rho[depth]
+            bounds[k] = bound = bound if bound < rho[k] else rho[k]
+            scanned += bound - t
         else:
             yield trusted(m, tuple(elems))
+    if record is not None:
+        record.sets += sets
+        record.scanned += scanned
 
 
 def shadow_representatives(
-    sgp: NumericalSemigroup,
-    m: int,
-    r: int,
-    *,
-    hook: Callable[[list[int], int, int], float] | None = None,
+    sgp: NumericalSemigroup, m: int, r: int, *, record: _SizeRecord | None = None
 ) -> Iterator[Configuration]:
     """One amenable set per distinct shadow and size, first in lexicographic order.
 
     enumerate_amenable with ``one_per_shadow``: the walker draws these
-    sets itself and drops none.  A ``hook`` hears ``hook(elems, k, n)``
-    only for the sets the walker still scans and admits; the limit it
-    returns only falls, and sets of one shadow and size share one count,
-    so each set the walker draws is still the first of its group.
+    sets itself and drops none.  With a ``record``, the walker scans and
+    admits only the sets under the record's limit; the limit only falls,
+    and sets of one shadow and size share one count, so each set the
+    walker draws is still the first of its group.
     """
-    yield from enumerate_amenable(sgp, m, r, hook=hook, one_per_shadow=True)
+    yield from enumerate_amenable(sgp, m, r, record=record, one_per_shadow=True)

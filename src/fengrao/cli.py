@@ -41,10 +41,10 @@ from .distances import DEFAULT_SUBSET_CAP, brute_force_distances, feng_rao_dista
 from .divisors import _element_masks, divisors
 from .errors import FengRaoError, InvalidInput, SearchSpaceTooLarge
 from .interval import (
+    _interval_numbers,
     as_interval,
     interval_feng_rao_number,
     interval_semigroup,
-    rho_equality_predicted,
 )
 from .semigroup import _MAX_MULTIPLICITY, NumericalSemigroup, from_generators
 
@@ -283,14 +283,14 @@ def _grid_rows(amax: int, bmax: int, rmax: int) -> Iterator[dict]:
     for a in range(2, amax + 1):
         for b in range(1, min(a - 1, bmax) + 1):
             sgp = interval_semigroup(a, b)
-            for r in range(1, rmax + 1):
+            for r, (e, predicted) in enumerate(_interval_numbers(a, b, rmax), 1):
                 yield {
                     "a": a,
                     "b": b,
                     "r": r,
-                    "e": interval_feng_rao_number(a, b, r),
+                    "e": e,
                     "rho": sgp.rho(r),
-                    "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
+                    "rho_case": "yes" if predicted else "no",
                 }
 
 

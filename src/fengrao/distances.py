@@ -8,11 +8,11 @@ on the shadow, and delta^r(m) = m + 1 - 2g + E(S, r) with E the r-th
 Feng-Rao number, so E is evaluated once at the smallest admissible base.
 The search is a branch and bound on the walk of one amenable set per
 shadow and size: the walker counts each set in a c-bit window that ends
-at its top, whatever m is, and hands the search's hook each set it
-admits with its divisor count.  It refuses a set, with its extensions,
-before building it, once its count less its size reaches best[max r] -
-max r, the limit the hook returns: one number bounds every size, as
-best[r] - r never falls as r grows.  A no-theory branch-and-bound
+at its top, whatever m is, and keeps each size's least count and first
+witness in the search's ``_SizeRecord``.  It refuses a set, with its
+extensions, before building it, once its count less its size reaches
+best[max r] - max r: one number bounds every size, as best[r] - r never
+falls as r grows.  A no-theory branch-and-bound
 search over the subsets of one window of S, pruned by full divisor mask
 counts alone, is the independent oracle, of the window identity too; it
 also answers every r of a range in one walk.
@@ -20,11 +20,12 @@ also answers every r of a range in one walk.
 
 from __future__ import annotations
 
-from math import comb, inf
+from math import comb
 
 from .amenable import (
     Configuration,
     _one_size,
+    _SizeRecord,
     _size_range,
     check_base,
     shadow_representatives,
@@ -52,6 +53,35 @@ class FengRaoResult(_Record):
         self.e_number_ = e_number
         self.witness_ = witness
 
+    @classmethod
+    def _trusted(
+        cls, m: int, r: int, delta: int, e_number: int, witness: Configuration
+    ) -> FengRaoResult:
+        """Build without validation, for the searches, whose witnesses have size r."""
+        result = object.__new__(cls)
+        result.m_ = m
+        result.r_ = r
+        result.delta_ = delta
+        result.e_number_ = e_number
+        result.witness_ = witness
+        return result
+
+
+def _results(
+    sgp: NumericalSemigroup,
+    m: int,
+    sizes: range,
+    best: list,
+    witnesses: list[tuple[int, ...]],
+) -> list[FengRaoResult]:
+    """One result per r in sizes from each size's least count and its set."""
+    offset = m + 1 - 2 * sgp.genus
+    trusted, config = FengRaoResult._trusted, Configuration._trusted
+    return [
+        trusted(m, r, best[r], best[r] - offset, config(m, witnesses[r]))
+        for r in sizes
+    ]
+
 
 def _check_args(sgp: NumericalSemigroup, m: int, r: int | range) -> range:
     sizes = _size_range(r)
@@ -70,10 +100,10 @@ def feng_rao_distances(
 
     The walker draws the amenable sets up to size max(rs), one per shadow
     and size, and counts each k-set's divisors n (see
-    ``enumerate_amenable``).  The search's hook hears each set it admits,
-    keeps a set below the best of its size as that size's best, and
-    returns the limit best[hi] - hi, hi = max(rs): the walker refuses a
-    set, with its extensions, when n - k reaches it.
+    ``enumerate_amenable``).  It keeps each admitted set below the best
+    of its size as that size's best, in the search's ``_SizeRecord``, and
+    refuses a set, with its extensions, when n - k reaches the limit
+    best[hi] - hi, hi = max(rs).  The results are read from the record.
 
     Branch and bound: every element added to a set P of size k is
     larger than all of P, so it is a new divisor, and a set of size j
@@ -97,29 +127,10 @@ def feng_rao_distances(
         return []
     hi = sizes[-1]
 
-    # size -> least count so far and its set, for every size up to hi
-    best: list[float] = [inf] * (hi + 1)
-    witnesses: list[tuple[int, ...]] = [()] * (hi + 1)
-
-    def record(elems: list[int], k: int, count: int) -> float:
-        if count < best[k]:
-            best[k] = count
-            witnesses[k] = tuple(elems[:k])
-        return best[hi] - hi
-
-    for _ in shadow_representatives(sgp, m, hi, hook=record):
+    record = _SizeRecord(hi)
+    for _ in shadow_representatives(sgp, m, hi, record=record):
         pass
-    offset = m + 1 - 2 * sgp.genus
-    return [
-        FengRaoResult(
-            m=m,
-            r=r,
-            delta=best[r],
-            e_number=best[r] - offset,
-            witness=Configuration._trusted(m, witnesses[r]),
-        )
-        for r in sizes
-    ]
+    return _results(sgp, m, sizes, record.best, record.witnesses)
 
 
 def feng_rao_distance(sgp: NumericalSemigroup, m: int, r: int) -> FengRaoResult:
@@ -223,17 +234,7 @@ def brute_force_distances(
                 break
         else:
             stack.pop()
-    offset = m + 1 - 2 * sgp.genus
-    return [
-        FengRaoResult(
-            m=m,
-            r=r,
-            delta=best[r],
-            e_number=best[r] - offset,
-            witness=Configuration._trusted(m, witnesses[r]),
-        )
-        for r in sizes
-    ]
+    return _results(sgp, m, sizes, best, witnesses)
 
 
 def brute_force_distance(

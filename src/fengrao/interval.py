@@ -19,6 +19,7 @@ i >= a vanish because a - i stays in (-b, 0] for i < a + b.
 from __future__ import annotations
 
 from math import isqrt
+from typing import Iterator
 
 from .amenable import Configuration, check_base, is_amenable
 from .divisors import DivisorSet, _trusted, divisors_above
@@ -140,6 +141,28 @@ def interval_feng_rao_number(a: int, b: int, r: int) -> int:
     """
     width = min(ordered_shadow_size(a, b, r) - 1, a + b - 1)
     return r - 1 + _ceil_sum0(width, a, b)
+
+
+def _interval_numbers(a: int, b: int, rmax: int) -> Iterator[tuple[int, bool]]:
+    """(interval_feng_rao_number, rho_equality_predicted) for r = 1..rmax.
+
+    r = h + b*h*(h-1)/2 + s with 0 <= s <= b*h is stepped once per r
+    instead of decomposed per r: s grows by one, and past b*h, h grows
+    and s restarts at 0.  The ordered shadow size is b(h-1) + 1 at s = 0
+    (k = -1) and b(h-1) + (s-1)//h + 2 otherwise, and the ceiling sum of
+    E changes only with it.
+    """
+    h, s, size = 1, 0, 0
+    for r in range(1, rmax + 1):
+        shadow = b * (h - 1) + (s - 1) // h + 2 if s else b * (h - 1) + 1
+        if shadow != size:
+            size = shadow
+            tail = _ceil_sum0(min(size - 1, a + b - 1), a, b)
+            predicted = (size - 1) % b == 0 or size >= a
+        yield r - 1 + tail, predicted
+        s += 1
+        if s > b * h:
+            h, s = h + 1, 0
 
 
 def interval_shadow_divisor_count(

@@ -175,19 +175,6 @@ def test_enumerate_matches_exhaustive_definition():
             assert list(shadow_representatives(s, m, r)) == first, (gens, r)
 
 
-class Recorder:
-    """A hook that records every (set, count) it hears, copying the set out
-    of the walker's list, and answers with the fixed ``limit``."""
-
-    def __init__(self, limit=inf):
-        self.limit = limit
-        self.heard = []
-
-    def __call__(self, elems, k, count):
-        self.heard.append((tuple(elems[:k]), count))
-        return self.limit
-
-
 def pre_order(sgp, m, r):
     """Every amenable set of size 1..r, a prefix before its extensions.
 
@@ -197,50 +184,88 @@ def pre_order(sgp, m, r):
     return sorted(c.elements for k in range(1, r + 1) for c in enumerate_amenable(sgp, m, k))
 
 
-def test_infinite_limit_gives_the_unhooked_stream():
+def reference_walk(sgp, m, r, seed):
+    """What a counted walk to depth r does, from ``nu`` alone.
+
+    The sets of size 1..r come in pre-order.  A set is refused, with its
+    extensions, once its count less its size reaches best[r] - r; an
+    admitted set becomes its size's best when its count is strictly
+    below.  Returns the admitted sets, each size's best and its witness.
+    """
+    best, witnesses = list(seed), [()] * (r + 1)
+    admitted, dropped = [], set()
+    for e in pre_order(sgp, m, r):
+        k, count = len(e), nu(sgp, e)
+        if e[:-1] in dropped or count - k >= best[r] - r:
+            dropped.add(e)
+            continue
+        admitted.append(e)
+        if count < best[k]:
+            best[k], witnesses[k] = count, e
+    return admitted, best, witnesses
+
+
+def first_least(sgp, m, r):
+    """Each size's least count over every amenable set, and its first set."""
+    best, witnesses = [inf] * (r + 1), [()] * (r + 1)
+    for e in pre_order(sgp, m, r):
+        count = nu(sgp, e)
+        if count < best[len(e)]:
+            best[len(e)], witnesses[len(e)] = count, e
+    return best, witnesses
+
+
+def test_no_record_gives_the_bare_stream():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
         for r in range(rmax + 1):
-            for source in (enumerate_amenable, shadow_representatives):
-                hooked = list(source(s, m, r, hook=lambda elems, k, count: inf))
-                assert hooked == list(source(s, m, r)), (gens, r)
+            every = exhaustive_amenable(s, m, r) if r else [()]
+            firsts = {}
+            for e in every:
+                firsts.setdefault((shadow(s, Configuration(m, e)).elements, len(e)), e)
+            for source, expected in [(enumerate_amenable, every),
+                                     (shadow_representatives, list(firsts.values()))]:
+                bare = [c.elements for c in source(s, m, r, record=None)]
+                assert bare == [c.elements for c in source(s, m, r)] == expected, (gens, r)
+                # a counted walk drops sets, and keeps the rest in order
+                counted = iter(bare)
+                for config in source(s, m, r, record=amenable._SizeRecord(r)):
+                    assert config.elements in counted, (gens, r)
 
 
-def test_hook_hears_each_set_with_its_count_before_its_yield():
+def test_record_keeps_each_sizes_first_least_count():
     for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         base = smallest_asymptotic_base(s)
         for m in (base, base + 7):
             for r in (3, rmax):
-                hook = Recorder()
-                for config in enumerate_amenable(s, m, r, hook=hook):
-                    # the set is heard right before it is yielded
-                    assert hook.heard[-1][0] == config.elements
-                # every amenable set of size 1..r, in pre-order, with the
-                # count of its divisor union
-                assert hook.heard == [(e, nu(s, e)) for e in pre_order(s, m, r)], (
-                    gens, m, r
-                )
+                best, witnesses = first_least(s, m, r)
+                for source in (enumerate_amenable, shadow_representatives):
+                    record = amenable._SizeRecord(r)
+                    for config in source(s, m, r, record=record):
+                        # the set is kept before it is yielded
+                        assert record.best[r] <= nu(s, config.elements)
+                    assert record.best[1:] == best[1:], (gens, m, r, source)
+                    assert record.witnesses[1:] == witnesses[1:], (gens, m, r, source)
 
 
-def test_finite_limit_refuses_sets_and_their_extensions():
-    for gens in [(3, 4), (5, 6, 7), (4, 7, 9), (6, 7, 8, 9)]:
+def test_seeded_record_refuses_sets_and_their_extensions():
+    for gens, rmax in EXHAUSTIVE_ENVELOPE.items():
         s = from_generators(gens)
         m = smallest_asymptotic_base(s)
-        every = pre_order(s, m, 5)
-        slack = {e: nu(s, e) - len(e) for e in every}
-        for limit in range(min(slack.values()) - 1, max(slack.values()) + 2):
-            # a set passes when it and each of its prefixes count below the
-            # limit; {m} comes first, while the limit is still infinite
-            passing = [
-                e for e in every
-                if all(slack[e[:k]] < limit for k in range(2, len(e) + 1))
-            ]
-            hook = Recorder(limit)
-            got = [c.elements for c in enumerate_amenable(s, m, 5, hook=hook)]
-            assert [e for e, _ in hook.heard] == passing, (gens, limit)
-            assert got == [e for e in passing if len(e) == 5], (gens, limit)
+        slack = [nu(s, e) - len(e) for e in pre_order(s, m, rmax)]
+        # each limit best[r] - r from below every set's slack to above all,
+        # and none: the walk then starts with the limit infinite
+        seeds = [limit + rmax for limit in range(min(slack) - 1, max(slack) + 2)]
+        for seeded in [inf, *seeds]:
+            record = amenable._SizeRecord(rmax)
+            record.best[rmax] = seeded
+            got = [c.elements for c in enumerate_amenable(s, m, rmax, record=record)]
+            admitted, best, witnesses = reference_walk(s, m, rmax, [inf] * rmax + [seeded])
+            assert got == [e for e in admitted if len(e) == rmax], (gens, seeded)
+            assert record.sets == len(admitted), (gens, seeded)
+            assert (record.best, record.witnesses) == (best, witnesses), (gens, seeded)
 
 
 def test_size_bound_refuses_before_allocating(monkeypatch):

@@ -384,8 +384,8 @@ def test_grid_rho_flag_matches_predicted_sets(capsys):
     assert {r for r, f in flags.items() if f == "yes"} == expected
 
 
-def old_grid_rendering(amax, bmax, rmax, fmt):
-    """What the grid command printed when it built every row before writing."""
+def per_cell_grid_rows(amax, bmax, rmax):
+    """The grid rows, each cell from the public closed forms."""
     rows = []
     for a in range(2, amax + 1):
         for b in range(1, min(a - 1, bmax) + 1):
@@ -399,7 +399,21 @@ def old_grid_rendering(amax, bmax, rmax, fmt):
                     "rho": sgp.rho(r),
                     "rho_case": "yes" if rho_equality_predicted(a, b, r) else "no",
                 })
-    return render_table(rows, fmt)
+    return rows
+
+
+def old_grid_rendering(amax, bmax, rmax, fmt):
+    """What the grid command printed when it built every row before writing."""
+    return render_table(per_cell_grid_rows(amax, bmax, rmax), fmt)
+
+
+def test_grid_rows_equal_the_per_cell_closed_forms():
+    # the rows step r's decomposition once per r instead of decomposing each
+    # cell: many blocks h, shadows past the ground, and b up to a - 1
+    for amax, bmax, rmax in [(12, 11, 12), (30, 29, 60), (40, 7, 200), (9, 3, 500)]:
+        assert list(cli._grid_rows(amax, bmax, rmax)) == per_cell_grid_rows(
+            amax, bmax, rmax
+        ), (amax, bmax, rmax)
 
 
 @pytest.mark.parametrize("fmt", ["csv", "json", "ascii"])
@@ -448,8 +462,7 @@ def test_grid_bounds_refused_before_any_row(monkeypatch, tmp_path, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the grid started")
 
-    for name in ("interval_semigroup", "interval_feng_rao_number",
-                 "rho_equality_predicted"):
+    for name in ("interval_semigroup", "interval_feng_rao_number", "_interval_numbers"):
         monkeypatch.setattr(cli, name, refuse)
     target = tmp_path / "grid.csv"
     over_a = str(semigroup._MAX_MULTIPLICITY + 1)

@@ -383,43 +383,36 @@ def test_bounded_search_equals_the_unbounded_reference():
     assert points == 2640
 
 
-# (sets the search's hook hears, sets of the largest size the walker
-# yields) at 2c-1 for r 1..14 on the benchmark's deep-r and wide-ground
-# semigroups, and summed for r 1..12 over the acceptance grid b < a <= 12.
-# With no bound the two first drew 549,299 and 213,544 sets; cutting after
-# each prefix was yielded drew 496 and 4,691 candidates and 130 and 557
-# sets.  The walker counts the candidates that pass its mask test itself,
-# 270, 4,678 and 37,826 of them, and the hook hears only those it admits
+# (sets the walker admits, sets of the largest size it yields, candidate
+# offsets it scans) at 2c-1 for r 1..14 on the benchmark's deep-r and
+# wide-ground semigroups, and summed for r 1..12 over the acceptance grid
+# b < a <= 12.  With no bound the two first drew 549,299 and 213,544 sets;
+# cutting after each prefix was yielded drew 496 and 4,691 candidates and
+# 130 and 557 sets.  Of the offsets scanned, 270, 4,678 and 37,826 pass
+# the mask test and are counted
 SEARCH_WORK = {
-    "14..15": ([(14, 15)], 14, (116, 10)),
-    "16..24": ([tuple(range(16, 25))], 14, (556, 4)),
+    "14..15": ([(14, 15)], 14, (116, 10, 667)),
+    "16..24": ([tuple(range(16, 25))], 14, (556, 4, 6541)),
     "grid": (
         [tuple(range(a, a + b + 1)) for a in range(2, 13) for b in range(1, a)],
         12,
-        (9773, 160),
+        (9773, 160, 65069),
     ),
 }
 
 
 @pytest.mark.parametrize("case", sorted(SEARCH_WORK))
 def test_bounded_search_work_is_pinned(monkeypatch, case):
-    work = {"heard": 0, "sets": 0, "shadows": 0}
+    work = {"sets": 0, "shadows": 0}
+    records = []
 
     def counted(source, key):
         def through(*args, **kwargs):
+            if key == "shadows":
+                records.append(kwargs["record"])
             for config in source(*args, **kwargs):
                 work[key] += 1
                 yield config
-
-        return through
-
-    def heard(source):
-        def through(*args, hook, **kwargs):
-            def counted_hook(elems, k, count):
-                work["heard"] += 1
-                return hook(elems, k, count)
-
-            return source(*args, hook=counted_hook, **kwargs)
 
         return through
 
@@ -428,22 +421,26 @@ def test_bounded_search_work_is_pinned(monkeypatch, case):
     )
     monkeypatch.setattr(
         distances, "shadow_representatives",
-        heard(counted(distances.shadow_representatives, "shadows")),
+        counted(distances.shadow_representatives, "shadows"),
     )
     gens_list, rmax, expected = SEARCH_WORK[case]
-    for gens in gens_list:
-        s = from_generators(gens)
-        feng_rao_distances(s, smallest_asymptotic_base(s), range(1, rmax + 1))
-    assert (work["heard"], work["shadows"]) == expected
+
+    def walk(lo):
+        records.clear()
+        for gens in gens_list:
+            s = from_generators(gens)
+            feng_rao_distances(s, smallest_asymptotic_base(s), range(lo, rmax + 1))
+        # one record per search, handed to the walk the search drains
+        assert len(records) == len(gens_list)
+        return sum(r.sets for r in records), sum(r.scanned for r in records)
+
+    sets, scanned = walk(1)
+    assert (sets, work["shadows"], scanned) == expected
     # the walker draws one set per shadow itself: nothing is left to drop
     assert work["sets"] == work["shadows"]
     # only max(rs) steers the bound: the bottom of the range changes no work
     for lo in (rmax, rmax // 2):
-        work.update(heard=0)
-        for gens in gens_list:
-            s = from_generators(gens)
-            feng_rao_distances(s, smallest_asymptotic_base(s), range(lo, rmax + 1))
-        assert work["heard"] == expected[0], lo
+        assert walk(lo) == (expected[0], expected[2]), lo
 
 
 def test_generic_equals_brute_force_up_to_c_plus_1():
