@@ -21,7 +21,11 @@ which skips the validation the search already guarantees.  Sizes above
 tables sized by them exist.  Given a ``_SizeRecord``, the walker counts
 each candidate in a c-bit window, refuses it, with its extensions, once
 its count less its size reaches best[r] - r, and keeps each size's least
-count and first witness in the record itself, with its work counts.  The
+count and first witness in the record itself, with its work counts.  It
+also admits but does not extend a set whose top less one, x, is missing
+from it and above the rest, when every proper divisor of x already
+divides the set: any extension can swap its largest element for x and
+get a set earlier in lexicographic order with no more divisors.  The
 distance search reads its answers there.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest
@@ -44,8 +48,8 @@ from .semigroup import NumericalSemigroup, _Record
 # Largest configuration size a search accepts.  Far above the sizes a
 # search finishes: the amenable command's unbounded walk visits half a
 # million sets of <14, 15> at r = 14, and the bounded distance search on
-# <16, 17> took 0.04-0.05 s for r 1..60, 0.60-1.02 s for r 1..200 and
-# 0.59-0.99 s for r 1..1000 (ten runs each, 2-vCPU Xeon VM).  The bound
+# <16, 17> took 0.016-0.027 s for r 1..60, 0.08-0.17 s for r 1..200 and
+# 0.10-0.16 s for r 1..1000 (ten runs each, 2-vCPU Xeon VM).  The bound
 # refuses absurd sizes before the per-depth lists are allocated.
 _MAX_SIZE = 10_000
 # Largest rho_r a walk accepts.  ``need`` holds rho_r + 1 masks of up to
@@ -208,6 +212,20 @@ def enumerate_amenable(
     per admitted set, never per candidate.  With no record, the scan is
     the bare mask test and every amenable set of size r is yielded.
 
+    A counted walk also admits but does not extend P + t when u = t - 1
+    is above top and every proper divisor of m + u in the window of top t
+    is set in V': the constant ``hole`` is R >> 1 less u's own bit, and
+    the test is one AND per admitted set with a gap.  The divisors of
+    m + u below that window divide m + t anyway.  Take any extension
+    Q = P + t + N, N not empty, and let Q'' = P + u + t + (N less max N).
+    Q'' is amenable, as the divisors >= m of m + u other than itself
+    divide P + t and so lie in P; it meets the walker's bounds, element
+    by element and gap by gap; it comes before Q in lexicographic order;
+    and it has no more divisors, as max N divides Q alone and u adds at
+    most itself.  So no extension cut this way is the first least set of
+    its size.  The gap must be real: with u = top, Q'' would repeat an
+    element.
+
     With ``one_per_shadow``, a depth's scan stops after its first
     admitted offset t >= n_e, so only the first set of each shadow and
     size is yielded.  A later candidate t' after the same prefix P gives
@@ -258,10 +276,13 @@ def enumerate_amenable(
     # candidate; a walk with no record counts it too and drops it
     scanned = 1  # slot 0 scans offset 0
     if record is not None:
-        rev = _element_masks(sgp, sgp.conductor - 1)[1]  # R
+        c = sgp.conductor
+        rev = _element_masks(sgp, c - 1)[1]  # R
+        # the proper divisors of m + t - 1 in the window of top t
+        hole = (rev >> 1) & ~(1 << (c - 2)) if c > 1 else 0
         windows = [0] * (r + 1)
         tops = [0] * (r + 1)
-        shared = m - sgp.conductor + 1 - sgp.genus  # the divisors up to m - c
+        shared = m - c + 1 - sgp.genus  # the divisors up to m - c
         best, witnesses = record.best, record.witnesses
         limit = best[r] - r - shared  # on counts less the shared divisors
         sets = 0
@@ -299,15 +320,17 @@ def enumerate_amenable(
         else:
             nexts[depth] = bound + 1
             scanned -= bound - t
-        if depth < last:
+        if depth == last:
+            yield trusted(m, tuple(elems))
+        # in a counted walk, a hole at t - 1 > top whose proper divisors all
+        # divide the set already leaves no extension that is a first least set
+        elif record is None or t - 1 <= top or hole & ~grown:
             depth = k
             masks[k] = mask | (1 << t)
             nexts[k] = t + 1
             bound = t + rho2
             bounds[k] = bound = bound if bound < rho[k] else rho[k]
             scanned += bound - t
-        else:
-            yield trusted(m, tuple(elems))
     if record is not None:
         record.sets += sets
         record.scanned += scanned

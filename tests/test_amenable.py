@@ -190,7 +190,10 @@ def reference_walk(sgp, m, r, seed):
     The sets of size 1..r come in pre-order.  A set is refused, with its
     extensions, once its count less its size reaches best[r] - r; an
     admitted set becomes its size's best when its count is strictly
-    below.  Returns the admitted sets, each size's best and its witness.
+    below.  An admitted set e below size r whose top less one, u, is above
+    the element before it keeps its extensions out when adding u adds
+    one divisor, u itself.  Returns the admitted sets, each size's best and
+    its witness.
     """
     best, witnesses = list(seed), [()] * (r + 1)
     admitted, dropped = [], set()
@@ -202,6 +205,8 @@ def reference_walk(sgp, m, r, seed):
         admitted.append(e)
         if count < best[k]:
             best[k], witnesses[k] = count, e
+        if 1 < k < r and e[-1] - 1 > e[-2] and nu(sgp, e + (e[-1] - 1,)) == count + 1:
+            dropped.add(e)
     return admitted, best, witnesses
 
 

@@ -385,19 +385,23 @@ def test_bounded_search_equals_the_unbounded_reference():
 
 # (sets the walker admits, sets of the largest size it yields, candidate
 # offsets it scans) at 2c-1 for r 1..14 on the benchmark's deep-r and
-# wide-ground semigroups, and summed for r 1..12 over the acceptance grid
-# b < a <= 12.  With no bound the two first drew 549,299 and 213,544 sets;
-# cutting after each prefix was yielded drew 496 and 4,691 candidates and
-# 130 and 557 sets.  Of the offsets scanned, 270, 4,678 and 37,826 pass
-# the mask test and are counted
+# wide-ground semigroups, summed for r 1..12 over the acceptance grid
+# b < a <= 12, and for r 1..20 on <20..39>.  With no bound the two first
+# drew 549,299 and 213,544 sets; cutting after each prefix was yielded
+# drew 496 and 4,691 candidates and 130 and 557 sets.  Before the walk
+# stopped extending a set whose hole under its top fills for free, the
+# first three admitted 116, 556 and 9,773 sets and scanned 667, 6,541 and
+# 65,069 offsets, and <20..39> admitted 262,145.  Of the offsets scanned,
+# 234, 232, 7,321 and 381 pass the mask test and are counted
 SEARCH_WORK = {
-    "14..15": ([(14, 15)], 14, (116, 10, 667)),
-    "16..24": ([tuple(range(16, 25))], 14, (556, 4, 6541)),
+    "14..15": ([(14, 15)], 14, (112, 10, 560)),
+    "16..24": ([tuple(range(16, 25))], 14, (90, 4, 302)),
     "grid": (
         [tuple(range(a, a + b + 1)) for a in range(2, 13) for b in range(1, a)],
         12,
-        (9773, 160, 65069),
+        (3737, 160, 11721),
     ),
+    "20..39": ([tuple(range(20, 40))], 20, (173, 1, 381)),
 }
 
 

@@ -13,6 +13,7 @@ from fengrao import (
     divisors_above,
     divisors_of_set,
     enumerate_amenable,
+    feng_rao_distances,
     feng_rao_number,
     from_generators,
     h_decompose,
@@ -192,6 +193,22 @@ def test_formula_vs_generic_spot():
         s = interval_semigroup(a, b)
         for r in range(1, 7):
             assert interval_feng_rao_number(a, b, r) == feng_rao_number(s, r).e_number
+
+
+def test_formula_vs_generic_on_every_interval_up_to_a_24():
+    # every <a..a+b>, b < a <= 24, at r 1..a+1: wide grounds at r near a,
+    # where the walk's exchange rule cuts most, among them <a..2a-1> at
+    # r = a-1 and a
+    points = 0
+    for a in range(2, 25):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            rs = range(1, a + 2)
+            m = smallest_asymptotic_base(s)
+            got = [res.e_number for res in feng_rao_distances(s, m, rs)]
+            assert got == [interval_feng_rao_number(a, b, r) for r in rs], (a, b)
+            points += len(rs)
+    assert points == 4876
 
 
 # --------------------------------------------- shadow divisor counting
