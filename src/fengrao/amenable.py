@@ -21,11 +21,10 @@ which skips the validation the search already guarantees.  Sizes above
 tables sized by them exist.  Given a ``_SizeRecord``, the walker counts
 each candidate in a c-bit window, refuses it, with its extensions, once
 its count less its size reaches best[r] - r, and keeps each size's least
-count and first witness in the record itself, with its work counts.  It
-also admits but does not extend a set whose top less one, x, is missing
-from it and above the rest, when every proper divisor of x already
-divides the set: any extension can swap its largest element for x and
-get a set earlier in lexicographic order with no more divisors.  The
+count and first witness in the record itself, with its work counts, and
+applies an exchange rule (see ``enumerate_amenable``): it admits but does
+not extend a set whose top less one, x, is missing from it and above the
+rest, when every proper divisor of x already divides the set.  The
 distance search reads its answers there.
 
 The ground is the integer window [m, m + n_e) where n_e is the largest

@@ -236,30 +236,24 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
     else:
         methods = [args.method]
     offset = m + 1 - 2 * sgp.genus
-    # one delta column per method.  The closed form answers per r; each
-    # search serves the whole range at once, and its time lands on row 0.
-    # Brute force runs first, so that its cap stops the command before the
-    # generic search
-    deltas: dict[str, list[int]] = {meth: [] for meth in methods}
-    seconds = []
-    for r in rs:
-        t0 = time.perf_counter()
-        if "interval" in deltas:
-            deltas["interval"].append(offset + interval_feng_rao_number(*interval, r))
-        seconds.append(time.perf_counter() - t0)
-    if "brute" in deltas:
-        t0 = time.perf_counter()
-        results = brute_force_distances(sgp, m, rs, max_subsets=args.max_brute)
-        deltas["brute"] = [res.delta for res in results]
-        seconds[0] += time.perf_counter() - t0
-    if "generic" in deltas:
-        t0 = time.perf_counter()
-        deltas["generic"] = [res.delta for res in feng_rao_distances(sgp, m, rs)]
-        seconds[0] += time.perf_counter() - t0
+    # one E column per method, each from one call over the whole range, in
+    # this order: brute force first, so that its cap stops the command
+    # before the generic search.  The request's time lands on row 0
+    solvers = {
+        "brute": lambda: [
+            res.e_number
+            for res in brute_force_distances(sgp, m, rs, max_subsets=args.max_brute)
+        ],
+        "generic": lambda: [res.e_number for res in feng_rao_distances(sgp, m, rs)],
+        "interval": lambda: [e for e, _ in _interval_numbers(*interval, rs)],
+    }
+    t0 = time.perf_counter()
+    numbers = {meth: solve() for meth, solve in solvers.items() if meth in methods}
+    elapsed = 0.0 if args.no_timing else (time.perf_counter() - t0) * 1000.0
     rows: list[dict] = []
     mismatch = False
     for i, r in enumerate(rs):
-        cells = {meth: (col[i], col[i] - offset) for meth, col in deltas.items()}
+        cells = {meth: (offset + col[i], col[i]) for meth, col in numbers.items()}
         row: dict = {"r": r, "m": m}
         if args.method == "all":
             agree = len({delta for delta, _ in cells.values()}) == 1
@@ -270,8 +264,7 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
         else:
             row["delta"], row["e"] = cells[methods[0]]
             row["method"] = _LABELS[methods[0]]
-        elapsed = 0.0 if args.no_timing else seconds[i] * 1000.0
-        row["elapsed_ms"] = f"{elapsed:.3f}"
+        row["elapsed_ms"] = f"{elapsed:.3f}" if i == 0 else "0.000"
         rows.append(row)
     with _output(args.out) as fh:
         _write_table(rows, args.format, fh)
@@ -280,10 +273,11 @@ def _cmd_distance_like(args: argparse.Namespace) -> int:
 
 def _grid_rows(amax: int, bmax: int, rmax: int) -> Iterator[dict]:
     """The grid rows in order, each (a, b) semigroup built once for its r."""
+    rs = range(1, rmax + 1)
     for a in range(2, amax + 1):
         for b in range(1, min(a - 1, bmax) + 1):
             sgp = interval_semigroup(a, b)
-            for r, (e, predicted) in enumerate(_interval_numbers(a, b, rmax), 1):
+            for r, (e, predicted) in zip(rs, _interval_numbers(a, b, rs)):
                 yield {
                     "a": a,
                     "b": b,

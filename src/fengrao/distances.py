@@ -118,12 +118,10 @@ def feng_rao_distances(
     size share one count, so the one set per shadow and size that the
     walker draws is the first of its group in lexicographic order, and a
     set it skips could not win: it has the count of a set the walker
-    reaches earlier.  Nor can an extension the walker skips because the
-    hole u just below its prefix's top fills for free: swapping its
-    largest element for u gives a set earlier in lexicographic order
-    with no more divisors.  Only a strictly smaller count replaces the
-    best, so each size keeps its first minimum in lexicographic order,
-    the witness the unbounded search gives.
+    reaches earlier.  Nor can an extension that the walker's exchange
+    rule cuts (see ``enumerate_amenable``).  Only a strictly smaller
+    count replaces the best, so each size keeps its first minimum in
+    lexicographic order, the witness the unbounded search gives.
     """
     sizes = _check_args(sgp, m, rs)
     if not sizes:

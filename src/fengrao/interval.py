@@ -143,18 +143,20 @@ def interval_feng_rao_number(a: int, b: int, r: int) -> int:
     return r - 1 + _ceil_sum0(width, a, b)
 
 
-def _interval_numbers(a: int, b: int, rmax: int) -> Iterator[tuple[int, bool]]:
-    """(interval_feng_rao_number, rho_equality_predicted) for r = 1..rmax.
+def _interval_numbers(a: int, b: int, rs: range) -> Iterator[tuple[int, bool]]:
+    """(interval_feng_rao_number, rho_equality_predicted) for each r in rs.
 
-    r = h + b*h*(h-1)/2 + s with 0 <= s <= b*h is stepped once per r
-    instead of decomposed per r: s grows by one, and past b*h, h grows
-    and s restarts at 0.  The ordered shadow size is b(h-1) + 1 at s = 0
-    (k = -1) and b(h-1) + (s-1)//h + 2 otherwise, and the ceiling sum of
-    E changes only with it.
+    rs is a step-1 range.  One h_decompose of its start seeds
+    r = h + b*h*(h-1)/2 + s with 0 <= s <= b*h, which is then stepped
+    once per r instead of decomposed per r: s grows by one, and past b*h,
+    h grows and s restarts at 0.  The ordered shadow size is
+    b(h-1) + (s-1)//h + 2, which at s = 0 is the k = -1 of h_decompose,
+    and the ceiling sum of E changes only with it.
     """
-    h, s, size = 1, 0, 0
-    for r in range(1, rmax + 1):
-        shadow = b * (h - 1) + (s - 1) // h + 2 if s else b * (h - 1) + 1
+    dec = h_decompose(rs.start, b)
+    h, s, size = dec.h, dec.k * dec.h + dec.j, 0
+    for r in rs:
+        shadow = b * (h - 1) + (s - 1) // h + 2
         if shadow != size:
             size = shadow
             tail = _ceil_sum0(min(size - 1, a + b - 1), a, b)

@@ -138,8 +138,27 @@ def test_number_all_methods_agree(capsys):
     assert all(row[8] == "yes" for row in rows)
 
 
+@pytest.mark.parametrize("pair, rs", [
+    ("4,1", "3..9"), ("5,2", "4..10"), ("7,3", "2..11"), ("9,3", "5..12"), ("6,5", "4..9"),
+])
+def test_number_all_methods_agree_from_a_later_start(pair, rs, capsys):
+    # the closed form's stepping starts from one decomposition of lo > 1
+    code, out = run_cli(
+        capsys, "number", "--interval", pair, "--r", rs, "--method", "all", "--no-timing",
+    )
+    assert code == 0
+    rows = [line.split(",") for line in out.strip().splitlines()[1:]]
+    lo, hi = map(int, rs.split(".."))
+    assert [int(row[0]) for row in rows] == list(range(lo, hi + 1))
+    assert all(row[8] == "yes" for row in rows)
+
+
 def test_number_mismatch_exit_code(monkeypatch, capsys):
-    monkeypatch.setattr(cli, "interval_feng_rao_number", lambda a, b, r: 999)
+    def wrong_numbers(a, b, rs):
+        for _ in rs:
+            yield 999, False
+
+    monkeypatch.setattr(cli, "_interval_numbers", wrong_numbers)
     code, _ = run_cli(
         capsys, "number", "--interval", "4,1", "--r", "2", "--method", "all",
         "--no-timing",
@@ -348,7 +367,7 @@ def test_r_bound_refused_before_any_work(monkeypatch, capsys):
     def refuse(*args, **kwargs):
         raise AssertionError("the search started")
 
-    for name in ("feng_rao_distances", "interval_feng_rao_number",
+    for name in ("feng_rao_distances", "interval_feng_rao_number", "_interval_numbers",
                  "brute_force_distances", "enumerate_amenable"):
         monkeypatch.setattr(cli, name, refuse)
     for method in ("generic", "interval", "brute", "all", "auto"):

@@ -28,6 +28,7 @@ from fengrao import (
 
 from corpus import corpus_semigroups, random_semigroups, semigroups_by_genus
 from search_reference import reference_distances
+from shadow_referee import referee_distances
 
 # the package re-exports the function divisors under the module's name
 divisors_module = importlib.import_module("fengrao.divisors")
@@ -381,6 +382,22 @@ def test_bounded_search_equals_the_unbounded_reference():
                 ), (s.minimal_generators, m, rs)
                 points += len(rs)
     assert points == 2640
+
+
+def test_search_equals_the_shadow_referee_past_brute_force():
+    # conductors 60 to 132 at every r <= c + 1, where brute force takes
+    # minutes per r: the shadow table shares nothing with the walker
+    points = 0
+    for gens in [(7, 11), (8, 11), (9, 11), (10, 11), (11, 13), (7, 23), (5, 34)]:
+        s = from_generators(gens)
+        m = smallest_asymptotic_base(s)
+        rs = range(1, s.conductor + 2)
+        got = feng_rao_distances(s, m, rs)
+        assert [(res.delta, res.witness.elements) for res in got] == (
+            referee_distances(s, m, rs)
+        ), gens
+        points += len(rs)
+    assert points == 691
 
 
 # (sets the walker admits, sets of the largest size it yields, candidate

@@ -31,7 +31,7 @@ from fengrao import (
     smallest_asymptotic_base,
     wagon_pivot,
 )
-from fengrao.interval import _ceildiv
+from fengrao.interval import _ceildiv, _interval_numbers
 from interval_reference import (
     block_walk_decompose,
     block_walk_feng_rao_number,
@@ -147,6 +147,23 @@ def test_closed_forms_equal_the_block_walk():
             for r in range(1, 300):
                 assert rho_equality_predicted(a, b, r) == run_walk_rho_equality_predicted(a, b, r), (a, b, r)
                 assert interval_feng_rao_number(a, b, r) == block_walk_feng_rao_number(a, b, r), (a, b, r)
+
+
+def test_interval_numbers_from_any_start_equal_the_block_walk():
+    # one h_decompose of the range's start seeds the stepping, so every
+    # start lo in 1..60 must give the block walk's values from lo on
+    points = 0
+    for a in range(2, 13):
+        for b in range(1, a):
+            expected = [
+                (block_walk_feng_rao_number(a, b, r), run_walk_rho_equality_predicted(a, b, r))
+                for r in range(1, 61)
+            ]
+            for lo in range(1, 61):
+                got = list(_interval_numbers(a, b, range(lo, 61)))
+                assert got == expected[lo - 1:], (a, b, lo)
+                points += len(got)
+    assert points == 120_780
 
 
 @pytest.mark.parametrize("b", [1, 2, 7, 40])
