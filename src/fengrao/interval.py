@@ -120,39 +120,39 @@ def ordered_shadow_size(a: int, b: int, r: int) -> int:
 
 
 def rho_equality_predicted(a: int, b: int, r: int) -> bool:
-    """Predicted E(r, S) = rho_r cases, read off the ordered shadow size s.
+    """Predicted E(r, S) = rho_r cases: one r of _interval_numbers.
 
-    True when r has k = -1 (r starts a block) or k = b - 1 (one of the h
-    values before the next block), the runs {b*sigma(p)+1, ...,
-    b*sigma(p)+p+1} with sigma(p) = p(p+1)/2: as s = b(h-1) + k + 2 and
-    0 <= k + 1 <= b, those are the r with s = 1 mod b.  Also true from the
-    first r whose shadow covers every residue mod a (s >= a) onward.
+    Read off the ordered shadow size s = b(h-1) + k + 2: true when r has
+    k = -1 (r starts a block) or k = b - 1 (one of the h values before
+    the next block), the runs {b*sigma(p)+1, ..., b*sigma(p)+p+1} with
+    sigma(p) = p(p+1)/2; as 0 <= k + 1 <= b, those are the r with
+    s = 1 mod b.  Also true from the first r whose shadow covers every
+    residue mod a (s >= a) onward.
     """
-    s = ordered_shadow_size(a, b, r)
-    return (s - 1) % b == 0 or s >= a
+    return next(_interval_numbers(a, b, range(r, r + 1)))[1]
 
 
 def interval_feng_rao_number(a: int, b: int, r: int) -> int:
-    """E(r, <a, ..., a+b>) in closed form.
+    """E(r, <a, ..., a+b>) in closed form: one r of _interval_numbers.
 
     With (h, k, j) the decomposition of r, the optimal shadow is the
     interval of size b(h-1) + k + 2; the sum is capped at a + b - 1 once
     that would reach the whole ground.
     """
-    width = min(ordered_shadow_size(a, b, r) - 1, a + b - 1)
-    return r - 1 + _ceil_sum0(width, a, b)
+    return next(_interval_numbers(a, b, range(r, r + 1)))[0]
 
 
 def _interval_numbers(a: int, b: int, rs: range) -> Iterator[tuple[int, bool]]:
     """(interval_feng_rao_number, rho_equality_predicted) for each r in rs.
 
-    rs is a step-1 range.  One h_decompose of its start seeds
-    r = h + b*h*(h-1)/2 + s with 0 <= s <= b*h, which is then stepped
-    once per r instead of decomposed per r: s grows by one, and past b*h,
-    h grows and s restarts at 0.  The ordered shadow size is
-    b(h-1) + (s-1)//h + 2, which at s = 0 is the k = -1 of h_decompose,
-    and the ceiling sum of E changes only with it.
+    The one engine of both closed forms; a single r is a run of one.  rs
+    is a step-1 range.  After (a, b) is checked, one h_decompose of its
+    start seeds r = h + b*h*(h-1)/2 + s with 0 <= s <= b*h, which is then
+    stepped once per r: s grows by one, and past b*h, h grows and s
+    restarts at 0.  The ordered shadow size is b(h-1) + (s-1)//h + 2
+    (s = 0 is the k = -1 of h_decompose); both answers change only with it.
     """
+    _check_interval(a, b)
     dec = h_decompose(rs.start, b)
     h, s, size = dec.h, dec.k * dec.h + dec.j, 0
     for r in rs:
@@ -173,34 +173,28 @@ def interval_shadow_divisor_count(
     """#D(m, m+i_1, ..., m+i_t) for a ground subset, by formula alone.
 
     Offsets must start at 0, increase strictly and stay below a + b.
-    The count accumulates, per consecutive offset pair, the number of
-    fresh divisors sum_{j=i_prev+1..i_cur} ceil((a+b-j)/b) - ceil((i_cur-j)/b),
-    each block evaluated by ceil_sum.  The formula counts divisors only
-    for amenable sets, which is verified unless ``check`` is disabled
-    (the raw value is still defined and is what the interval-minimality
-    inequality is about).
+    Each consecutive offset pair brings the fresh divisors
+    sum_{j=i_prev+1..i_cur} ceil((a+b-j)/b) - ceil((i_cur-j)/b); the first
+    terms telescope to F(i_t) with F(x) = ceil_sum(x, a+b, b), and the
+    second are ceil_sum(d, d, b) for the gap d = i_cur - i_prev.  The
+    formula counts divisors only for amenable sets, which is verified
+    unless ``check`` is disabled (the raw value is still defined and is
+    what the interval-minimality inequality is about).
     """
-    _check_interval(a, b)
+    sgp = interval_semigroup(a, b)
     offs = tuple(offsets)
     if not offs or offs[0] != 0:
         raise InvalidInput("offsets must be nonempty and start at 0")
-    if any(x >= y for x, y in zip(offs, offs[1:])) or offs[-1] >= a + b:
+    gaps = [y - x for x, y in zip(offs, offs[1:])]
+    if min(gaps, default=1) < 1 or offs[-1] >= a + b:
         raise InvalidInput("offsets must increase strictly and stay below a+b")
-    sgp = interval_semigroup(a, b)
     check_base(sgp, m)
     if check:
         config = Configuration(base=m, elements=tuple(m + i for i in offs))
         if not is_amenable(sgp, config):
             raise InvalidInput(f"offsets {offs} do not give an amenable set")
-    total = m + 1 - 2 * sgp.genus
-    for prev, cur in zip(offs, offs[1:]):
-        d = cur - prev
-        total += (
-            _ceil_sum0(cur, a + b, b)
-            - _ceil_sum0(prev, a + b, b)
-            - _ceil_sum0(d, d, b)
-        )
-    return total
+    total = m + 1 - 2 * sgp.genus + _ceil_sum0(offs[-1], a + b, b)
+    return total - sum(ceil_sum(d, d, b) for d in gaps)
 
 
 def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSet:
@@ -210,10 +204,9 @@ def interval_extra_divisors(a: int, b: int, m: int, q: int, j: int) -> DivisorSe
     difference is a gap) and m + qa + j - (m - (ka + v)) in S; splitting on
     whether v + j wraps past a gives the two disjoint k-ranges below.
     """
-    _check_interval(a, b)
+    sgp = interval_semigroup(a, b)
     if q < 0 or not 0 <= j <= a - 1:
         raise InvalidInput(f"need q >= 0 and 0 <= j < a, got q={q}, j={j}")
-    sgp = interval_semigroup(a, b)
     check_base(sgp, m)
     _check_element(m + q * a + j)  # the result lies inside D(m + qa + j)
 
@@ -236,14 +229,13 @@ def ordered_amenable_set(a: int, b: int, m: int, r: int) -> Configuration:
     b(h-1) + k + 1 < a + b - 1; past that bound the optimal shadows fill
     the ground and no ordered set of size r exists.
     """
-    _check_interval(a, b)
+    sgp = interval_semigroup(a, b)
     dec = h_decompose(r, b)
     edge = b * (dec.h - 1) + dec.k + 1
     if edge >= a + b - 1:
         raise InvalidInput(
             f"r={r} needs shadow edge {edge} < a+b-1 = {a + b - 1}"
         )
-    sgp = interval_semigroup(a, b)
     check_base(sgp, m)
 
     elements = set(divisors_above(sgp, m + (dec.h - 1) * (a + b), m))
@@ -292,7 +284,6 @@ def is_ordered_amenable(a: int, b: int, config: Configuration) -> bool:
     set amenable, and the only element addable without touching the
     ground has to be pivot + a (a = rho_2 here).
     """
-    _check_interval(a, b)
     sgp = interval_semigroup(a, b)
     if not config.elements or not is_amenable(sgp, config):
         return False

@@ -195,6 +195,39 @@ def test_closed_forms_take_constant_time_in_r():
 # ------------------------------------------------- closed-form E(r, S)
 
 
+# a bad (a, b) is named before any other bad argument; the valid pair
+# <5,6,7> shows that each second argument is refused on its own
+REFUSALS = {
+    "ordered_shadow_size": (lambda a, b, m: ordered_shadow_size(a, b, 0), "need r, b >= 1"),
+    "rho_equality_predicted": (lambda a, b, m: rho_equality_predicted(a, b, 0), "need r, b >= 1"),
+    "interval_feng_rao_number": (lambda a, b, m: interval_feng_rao_number(a, b, 0), "need r, b >= 1"),
+    "interval_shadow_divisor_count": (
+        lambda a, b, m: interval_shadow_divisor_count(a, b, m, [1, 2]),
+        "offsets must be nonempty and start at 0",
+    ),
+    "interval_extra_divisors": (lambda a, b, m: interval_extra_divisors(a, b, m, -1, 0), "need q >= 0"),
+    "ordered_amenable_set r = 0": (lambda a, b, m: ordered_amenable_set(a, b, m, 0), "need r, b >= 1"),
+    "ordered_amenable_set no ordered set": (
+        lambda a, b, m: ordered_amenable_set(a, b, m, 10**6),
+        "needs shadow edge",
+    ),
+    "wagon_pivot": (
+        lambda a, b, m: wagon_pivot(a, b, Configuration(base=m, elements=())),
+        "wagon of an empty configuration",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", list(REFUSALS))
+def test_bad_interval_is_refused_before_any_other_argument(name):
+    call, own = REFUSALS[name]
+    with pytest.raises(InvalidInput, match=own):
+        call(5, 2, base_for(5, 2))
+    for a, b in [(4, 4), (3, 5), (4, 0)]:
+        with pytest.raises(InvalidInput, match=f"need 0 < b < a, got a={a}, b={b}"):
+            call(a, b, 40)
+
+
 def test_feng_rao_number_examples():
     for a, b in PAIRS:
         assert interval_feng_rao_number(a, b, 1) == 0
@@ -280,6 +313,23 @@ def test_shadow_count_validation():
         interval_shadow_divisor_count(5, 2, base_for(5, 2), [1, 2])
     with pytest.raises(InvalidInput, match=r"offsets must increase strictly and stay below a\+b"):
         interval_shadow_divisor_count(5, 2, base_for(5, 2), [0, 7])
+
+
+def test_shadow_count_is_the_per_pair_sum_on_every_offset_set():
+    # every {0} + T, T a subset of [1, a+b), amenable or not, against the
+    # per-pair sum of fresh divisors written out with _ceildiv loops
+    for a in range(2, 7):
+        for b in range(1, a):
+            s = interval_semigroup(a, b)
+            m = base_for(a, b)
+            for bits in range(1 << (a + b - 1)):
+                offs = (0,) + tuple(i for i in range(1, a + b) if bits >> (i - 1) & 1)
+                expected = m + 1 - 2 * s.genus
+                for prev, cur in zip(offs, offs[1:]):
+                    for j in range(prev + 1, cur + 1):
+                        expected += _ceildiv(a + b - j, b) - _ceildiv(cur - j, b)
+                got = interval_shadow_divisor_count(a, b, m, offs, check=False)
+                assert got == expected, (a, b, offs)
 
 
 def test_interval_minimality_spot():
